@@ -584,7 +584,7 @@ pub fn sweep_fingerprint(space: &[AcceleratorConfig], table: &EnergyTable) -> u6
 }
 
 /// Incremental-DSE cache: repeated sweeps with identical inputs (router
-/// re-pricing, tornado arms, warm bench reps) return the memoized outcome
+/// re-pricing, tornado arms, repeated experiments) return the memoized outcome
 /// instead of re-running the search. Valid across worker counts because
 /// the sweep is bit-identical at any `--jobs`.
 #[derive(Debug, Clone, Default)]
@@ -651,7 +651,7 @@ mod tests {
     use super::*;
 
     /// A reduced space keeps unit tests fast; the full 7 168-config sweep
-    /// runs in the integration tests and benches.
+    /// runs in the integration tests.
     fn small_space() -> Vec<AcceleratorConfig> {
         design_space().into_iter().step_by(37).collect()
     }

@@ -26,16 +26,8 @@ use sudc_units::Seconds;
 
 use crate::format::table;
 
-/// Simulated span, seconds (env `SUDC_BUS_DURATION_S` overrides; CI
-/// uses a small budget).
-fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_BUS_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1800.0);
-    Seconds::new(secs)
-}
+/// Simulated span.
+const DURATION: Seconds = Seconds::new(1800.0);
 
 fn reliability(r: Reliability) -> String {
     match r {
@@ -71,7 +63,6 @@ fn depth(d: usize) -> String {
 #[must_use]
 pub fn ext_bus() -> String {
     let topics = BusConfig::standard();
-    let duration = duration();
 
     // The standard topic table and its contracts.
     let topic_rows: Vec<Vec<String>> = topics
@@ -90,7 +81,7 @@ pub fn ext_bus() -> String {
 
     // QoS lowering at the reference tick: the integer quantities the
     // delivery machinery executes (`RecoveryPolicy` arithmetic).
-    let tick_s = SimConfig::reference_operations(duration).tick_seconds;
+    let tick_s = SimConfig::reference_operations(DURATION).tick_seconds;
     let lowering_rows: Vec<Vec<String>> = topics
         .iter()
         .map(|(_, spec)| {
@@ -111,8 +102,8 @@ pub fn ext_bus() -> String {
     // Recorded runs: nominal reference operations, and the combined
     // chaos campaign (whose queue bounds and deadline are the
     // capture/insight contracts lowered onto the recovery policy).
-    let nominal_cfg = SimConfig::reference_operations(duration);
-    let combined_cfg = Campaign::combined(duration).apply(&nominal_cfg);
+    let nominal_cfg = SimConfig::reference_operations(DURATION);
+    let combined_cfg = Campaign::combined(DURATION).apply(&nominal_cfg);
     let mut traffic_rows: Vec<Vec<String>> = Vec::new();
     let mut audit_rows: Vec<Vec<String>> = Vec::new();
     for (name, cfg) in [("nominal", &nominal_cfg), ("combined", &combined_cfg)] {
@@ -142,7 +133,7 @@ pub fn ext_bus() -> String {
          contract lowering at the {tick_s} s reference tick (RecoveryPolicy arithmetic)\n{}\n\n\
          per-topic samples published by the kernel run\n{}\n\n\
          record -> replay audit (binary topic log re-driven through a fresh trace builder)\n{}\n",
-        duration.value(),
+        DURATION.value(),
         table(
             &["id", "topic", "reliability", "deadline", "durability", "history"],
             &topic_rows,

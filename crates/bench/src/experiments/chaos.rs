@@ -18,32 +18,16 @@ use crate::format::{percent, table};
 /// Spare counts swept by the report.
 const SPARE_COUNTS: [u32; 4] = [0, 2, 4, 8];
 
-/// Simulated span of every run, seconds (env `SUDC_CHAOS_DURATION_S`
-/// overrides; CI uses a small budget).
-fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_CHAOS_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(7200.0);
-    Seconds::new(secs)
-}
+/// Simulated span of every run.
+const DURATION: Seconds = Seconds::new(7200.0);
 
-/// Replications per grid cell (env `SUDC_CHAOS_REPS` overrides).
-fn reps() -> u32 {
-    std::env::var("SUDC_CHAOS_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(3)
-}
+/// Replications per grid cell.
+const REPS: u32 = 3;
 
 /// Ext. G: chaos resilience report — fault campaigns vs cold spares.
 #[must_use]
 pub fn ext_chaos() -> String {
-    let duration = duration();
-    let reps = reps();
-    let summary = ChaosSummary::run(duration, &SPARE_COUNTS, reps, sudc_sim::DEFAULT_SEED);
+    let summary = ChaosSummary::run(DURATION, &SPARE_COUNTS, REPS, sudc_sim::DEFAULT_SEED);
 
     let rows: Vec<Vec<String>> = summary
         .cells
@@ -66,7 +50,7 @@ pub fn ext_chaos() -> String {
         })
         .collect();
 
-    let recovery: Vec<String> = Campaign::suite(duration)
+    let recovery: Vec<String> = Campaign::suite(DURATION)
         .iter()
         .map(|c| {
             let needed = summary.spares_to_recover(c.name, CLAIM4_AVAILABILITY_TARGET);
@@ -85,8 +69,8 @@ pub fn ext_chaos() -> String {
         "Ext. G: chaos resilience report ({} s simulated, {} reps per cell)\n{}\n\n\
          cold spares to hold availability >= {} (claim #4)\n{}\n\n\
          full grid (JSON)\n{}\n",
-        duration.value(),
-        reps,
+        DURATION.value(),
+        REPS,
         table(
             &[
                 "campaign",

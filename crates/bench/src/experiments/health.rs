@@ -33,31 +33,15 @@ use crate::format::{percent, table};
 /// Cold spares installed in every grid cell (equal across arms).
 const SPARES: u32 = 4;
 
-/// Simulated span of every run, seconds (env `SUDC_HEALTH_DURATION_S`
-/// overrides; CI uses the default).
-fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_HEALTH_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(3600.0);
-    Seconds::new(secs)
-}
+/// Simulated span of every run.
+const DURATION: Seconds = Seconds::new(3600.0);
 
-/// Replications per arm (env `SUDC_HEALTH_REPS` overrides).
-fn reps() -> u32 {
-    std::env::var("SUDC_HEALTH_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(4)
-}
+/// Replications per arm.
+const REPS: u32 = 4;
 
 /// Ext. K: the closed-loop health plane under chaos.
 #[must_use]
 pub fn ext_health() -> String {
-    let duration = duration();
-    let reps = reps();
     let contract = HealthConfig::standard();
 
     // --- part 1: the detector contract ------------------------------
@@ -78,7 +62,7 @@ pub fn ext_health() -> String {
     );
 
     // --- part 2: controller-on vs controller-off grid ----------------
-    let report = HealthReport::run(duration, SPARES, reps, DEFAULT_SEED);
+    let report = HealthReport::run(DURATION, SPARES, REPS, DEFAULT_SEED);
     let rows: Vec<Vec<String>> = report
         .cells
         .iter()
@@ -95,7 +79,7 @@ pub fn ext_health() -> String {
             ]
         })
         .collect();
-    let gains: Vec<String> = Campaign::suite(duration)
+    let gains: Vec<String> = Campaign::suite(DURATION)
         .iter()
         .map(|c| {
             let gain = report.availability_gain(c.name).unwrap_or(0.0);
@@ -104,8 +88,8 @@ pub fn ext_health() -> String {
         .collect();
 
     // --- part 3: degraded-mode routing from observed verdicts ---------
-    let cfg = Campaign::independent(duration)
-        .apply(&SimConfig::reference_operations(duration))
+    let cfg = Campaign::independent(DURATION)
+        .apply(&SimConfig::reference_operations(DURATION))
         .with_health(contract);
     // A replication seed under which the independent campaign actually
     // kills nodes inside the horizon (the default seed draws a
@@ -167,8 +151,8 @@ pub fn ext_health() -> String {
          degraded-mode routing from the observed pool (independent campaign)\n{}\n\n\
          recorded-log routing audit\n{}\n\n\
          full grid (JSON)\n{}\n",
-        duration.value(),
-        reps,
+        DURATION.value(),
+        REPS,
         SPARES,
         contract_lines,
         table(

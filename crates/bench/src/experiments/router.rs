@@ -26,34 +26,14 @@ use sudc_units::Seconds;
 
 use crate::format::{percent, table};
 
-/// Requests routed per sweep point (env `SUDC_ROUTER_REQUESTS`
-/// overrides; CI uses the default).
-fn requests() -> u64 {
-    std::env::var("SUDC_ROUTER_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(200_000)
-}
+/// Requests routed per sweep point.
+const REQUESTS: u64 = 200_000;
 
-/// Replay duration, seconds (env `SUDC_ROUTER_DURATION_S` overrides).
-fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_ROUTER_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1800.0);
-    Seconds::new(secs)
-}
+/// Replay duration.
+const DURATION: Seconds = Seconds::new(1800.0);
 
-/// Replay replications (env `SUDC_ROUTER_REPS` overrides).
-fn reps() -> u32 {
-    std::env::var("SUDC_ROUTER_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(2)
-}
+/// Replay replications.
+const REPS: u32 = 2;
 
 /// Load multipliers applied to the reference capture rate.
 const LOAD_MULTIPLIERS: [f64; 3] = [1.0, 1e2, 1e4];
@@ -78,7 +58,6 @@ fn mix_row(label: &str, out: &RoutingOutcome) -> Vec<String> {
 /// Ext. H: online request placement across the four execution tiers.
 #[must_use]
 pub fn ext_router() -> String {
-    let requests = requests();
     let router = Router::reference();
     let reference = DynamicScenario::from_scenario(Scenario::Reference, 64)
         .expect("reference scenario must size");
@@ -88,7 +67,7 @@ pub fn ext_router() -> String {
     let mut mix_rows: Vec<Vec<String>> = Vec::new();
     let mut outcomes: Vec<RoutingOutcome> = Vec::new();
     for &m in &LOAD_MULTIPLIERS {
-        let stream = StreamConfig::new(requests, DEFAULT_SEED, base_arrival * m);
+        let stream = StreamConfig::new(REQUESTS, DEFAULT_SEED, base_arrival * m);
         let out = router.route_stream(&stream);
         mix_rows.push(mix_row(&format!("{m:>6.0}x"), &out));
         outcomes.push(out);
@@ -111,12 +90,10 @@ pub fn ext_router() -> String {
         .collect();
 
     // Replay the reference-load placements through the simulator.
-    let duration = duration();
-    let reps = reps();
     let load = RoutedLoad::from_outcome(&outcomes[0]);
-    let nominal = load.replay(duration, reps, DEFAULT_SEED, None);
-    let storm_campaign = sudc_chaos::Campaign::solar_storm(duration);
-    let storm = load.replay(duration, reps, DEFAULT_SEED, Some(&storm_campaign));
+    let nominal = load.replay(DURATION, REPS, DEFAULT_SEED, None);
+    let storm_campaign = sudc_chaos::Campaign::solar_storm(DURATION);
+    let storm = load.replay(DURATION, REPS, DEFAULT_SEED, Some(&storm_campaign));
     let replay_rows: Vec<Vec<String>> = [&nominal, &storm]
         .iter()
         .map(|r| {
@@ -131,7 +108,7 @@ pub fn ext_router() -> String {
         .collect();
 
     format!(
-        "Ext. H: online request placement ({requests} requests/point, seed {DEFAULT_SEED:#x})\n\
+        "Ext. H: online request placement ({REQUESTS} requests/point, seed {DEFAULT_SEED:#x})\n\
          reference capture rate {base_arrival:.2} req/s; sweep multiplies it\n{}\n\n\
          per-application tier split at {:.0}x load (placed requests)\n{}\n\n\
          routed load replayed through sudc-sim ({} s, {} reps, SLO {:.0} s)\n{}\n\n\
@@ -155,8 +132,8 @@ pub fn ext_router() -> String {
             &["application", "onboard", "sudc", "ground", "cloud"],
             &app_rows,
         ),
-        duration.value(),
-        reps,
+        DURATION.value(),
+        REPS,
         nominal.slo_deadline_s,
         table(
             &["campaign", "slo", "avail", "delivered", "p99 (s)"],

@@ -15,41 +15,24 @@ use sudc_units::Seconds;
 
 use crate::format::{percent, table};
 
-/// Simulated operations span, seconds (env `SUDC_SIM_DURATION_S`
-/// overrides; CI uses a small budget).
-fn duration() -> Seconds {
-    let secs = std::env::var("SUDC_SIM_DURATION_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(7200.0);
-    Seconds::new(secs)
-}
+/// Simulated operations span.
+const DURATION: Seconds = Seconds::new(7200.0);
 
-/// Replications per scenario (env `SUDC_SIM_REPS` overrides).
-fn reps() -> u32 {
-    std::env::var("SUDC_SIM_REPS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(3)
-}
+/// Replications per scenario.
+const REPS: u32 = 3;
 
 /// Ext. F: dynamic operations simulation — latency, backlog, and
 /// availability traces from the discrete-event simulator.
 #[must_use]
 pub fn ext_sim() -> String {
-    let duration = duration();
-    let reps = reps();
-
     let baseline = SimSummary::study(
-        &SimConfig::reference_operations(duration),
-        reps,
+        &SimConfig::reference_operations(DURATION),
+        REPS,
         DEFAULT_SEED,
     );
     let collab = SimSummary::study(
-        &SimConfig::collaborative_operations(duration),
-        reps,
+        &SimConfig::collaborative_operations(DURATION),
+        REPS,
         DEFAULT_SEED,
     );
 
@@ -70,7 +53,7 @@ pub fn ext_sim() -> String {
 
     // Mission-scale sparing: simulated end-state capability vs the
     // analytic hot-pool bound at one MTTF.
-    let mission_reps = reps * 20;
+    let mission_reps = REPS * 20;
     let mission = SimSummary::study(
         &SimConfig::cold_spare_mission(20, 10, 0.1, 1.0),
         mission_reps,
@@ -85,8 +68,8 @@ pub fn ext_sim() -> String {
            analytic hot-pool bound:             {}\n\n\
          baseline summary (JSON)\n{}\n\ncollaborative summary (JSON)\n{}\n\n\
          cold-spare mission summary (JSON)\n{}\n",
-        duration.value(),
-        reps,
+        DURATION.value(),
+        REPS,
         table(
             &[
                 "scenario",

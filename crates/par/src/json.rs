@@ -1,6 +1,6 @@
 //! Minimal JSON value builder and emitter.
 //!
-//! The workspace emits machine-readable artifacts (`BENCH_sweeps.json`,
+//! The workspace emits machine-readable artifacts (`BENCH_sim.json`,
 //! report exports) but must build offline without `serde`. This module is
 //! the small honest subset we actually need: building a [`Json`] tree and
 //! rendering it; numbers render with enough precision to round-trip `f64`.

@@ -18,7 +18,7 @@
 //!   (SplitMix64 seeding a xoshiro256**-class core) used by the Monte-Carlo
 //!   models so trials can be partitioned across threads reproducibly;
 //! - [`json`]: a minimal JSON value builder used to emit machine-readable
-//!   benchmark and report artifacts (`BENCH_sweeps.json`).
+//!   benchmark and report artifacts (`BENCH_sim.json`, report exports).
 //!
 //! # Thread-count resolution
 //!

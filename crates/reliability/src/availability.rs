@@ -23,9 +23,9 @@ const TRIAL_BLOCK: u32 = 1024;
 /// Minimum RNG blocks a worker thread must receive before the Monte-Carlo
 /// sweeps spawn threads at all: small studies (a few thousand trials) were
 /// *slower* in parallel than serial because the spawn/join overhead
-/// exceeded the work (`BENCH_sweeps.json` showed 0.99× on
-/// `monte_carlo_availability`). Thread-count invariance is unaffected —
-/// block RNG streams derive from the block index alone.
+/// exceeded the work (0.99× on a 200 000-trial availability study).
+/// Thread-count invariance is unaffected — block RNG streams derive from
+/// the block index alone.
 pub(crate) const MIN_BLOCKS_PER_THREAD: usize = 4;
 
 /// A pool of `nodes` identical servers of which `required` must work.

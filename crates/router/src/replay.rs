@@ -228,7 +228,7 @@ impl ReplayReport {
         })
     }
 
-    /// JSON object for `BENCH_router.json` and the figures runner.
+    /// JSON object embedded in the `router` and `health` reports.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::object()

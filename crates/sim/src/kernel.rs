@@ -1141,6 +1141,13 @@ mod tests {
     use crate::fault::{FaultConfig, GroundBlackouts, IslFlaps, StormModel};
     use sudc_units::Seconds;
 
+    /// The 1 000-satellite weak-scaling point: it reaches the timing
+    /// wheel's upper levels and the fleet-scaled shared links, which the
+    /// 64-satellite presets never exercise.
+    fn scaled_fleet() -> SimConfig {
+        SimConfig::scaled_fleet(1000, Seconds::new(1800.0))
+    }
+
     #[test]
     fn identical_seeds_produce_identical_traces() {
         let cfg = SimConfig::reference_operations(Seconds::new(1800.0));
@@ -1225,11 +1232,15 @@ mod tests {
 
     #[test]
     fn rebuilt_kernel_matches_the_frozen_baseline() {
+        let configs = [
+            SimConfig::reference_operations(Seconds::new(3600.0)),
+            SimConfig::collaborative_operations(Seconds::new(3600.0)),
+            scaled_fleet(),
+        ];
         for seed in [1, 7, 42] {
-            let cfg = SimConfig::reference_operations(Seconds::new(3600.0));
-            assert_eq!(run(&cfg, seed), baseline::run(&cfg, seed));
-            let collab = SimConfig::collaborative_operations(Seconds::new(3600.0));
-            assert_eq!(run(&collab, seed), baseline::run(&collab, seed));
+            for cfg in &configs {
+                assert_eq!(run(cfg, seed), baseline::run(cfg, seed));
+            }
         }
     }
 
@@ -1364,20 +1375,24 @@ mod tests {
 
     #[test]
     fn fault_free_health_runs_never_suspect_anyone() {
-        let cfg = SimConfig::reference_operations(Seconds::new(1800.0))
-            .with_health(sudc_health::HealthConfig::standard());
-        let t = run(&cfg, 7);
-        assert!(t.health_enabled());
-        assert!(t.heartbeats > 0, "powered nodes must heartbeat");
-        assert_eq!(t.suspects, 0, "no suspicion without a missed lease");
-        assert_eq!(t.false_suspects, 0);
-        assert_eq!(t.detections, 0);
-        assert!((t.availability() - 1.0).abs() < 1e-12);
-        // The health plane never touches an RNG stream: the pipeline
-        // trajectory matches the health-free run of the same seed.
-        let base = run(&SimConfig::reference_operations(Seconds::new(1800.0)), 7);
-        assert_eq!(t.captured, base.captured);
-        assert_eq!(t.delivered, base.delivered);
+        for base_cfg in [
+            SimConfig::reference_operations(Seconds::new(1800.0)),
+            scaled_fleet(),
+        ] {
+            let cfg = base_cfg.with_health(sudc_health::HealthConfig::standard());
+            let t = run(&cfg, 7);
+            assert!(t.health_enabled());
+            assert!(t.heartbeats > 0, "powered nodes must heartbeat");
+            assert_eq!(t.suspects, 0, "no suspicion without a missed lease");
+            assert_eq!(t.false_suspects, 0);
+            assert_eq!(t.detections, 0);
+            assert!((t.availability() - 1.0).abs() < 1e-12);
+            // The health plane never touches an RNG stream: the pipeline
+            // trajectory matches the health-free run of the same seed.
+            let base = run(&base_cfg, 7);
+            assert_eq!(t.captured, base.captured);
+            assert_eq!(t.delivered, base.delivered);
+        }
     }
 
     /// A cold-spare mission with a lease the detector can resolve on the

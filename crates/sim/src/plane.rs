@@ -260,11 +260,16 @@ mod tests {
 
     #[test]
     fn recorded_replay_reproduces_the_live_trace() {
-        let cfg = SimConfig::reference_operations(Seconds::new(1800.0));
-        let run = kernel::run_on_bus(&cfg, 7, true);
-        let log = run.log.expect("recording run keeps a log");
-        assert!(log.records() > 0);
-        assert_eq!(replay(&cfg, &log).unwrap(), run.trace);
+        for cfg in [
+            SimConfig::reference_operations(Seconds::new(1800.0)),
+            // The 1 000-satellite weak-scaling point, past the 64-sat presets.
+            SimConfig::scaled_fleet(1000, Seconds::new(1800.0)),
+        ] {
+            let run = kernel::run_on_bus(&cfg, 7, true);
+            let log = run.log.expect("recording run keeps a log");
+            assert!(log.records() > 0);
+            assert_eq!(replay(&cfg, &log).unwrap(), run.trace);
+        }
     }
 
     #[test]
