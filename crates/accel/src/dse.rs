@@ -26,6 +26,7 @@
 //! and idle-SM draw that the utilization counter does not capture).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use sudc_compute::hardware::rtx_3090;
 use sudc_compute::networks::{Network, NetworkId};
@@ -232,10 +233,20 @@ impl DseOutcome {
 }
 
 /// Runs the sweep over the full 7 168-configuration space with the default
-/// same-node energy table.
+/// same-node energy table. Always a cold sweep; see [`full_dse`] for the
+/// once-per-process outcome.
 #[must_use]
 pub fn run_full_dse() -> DseOutcome {
     run_dse(&design_space(), &EnergyTable::default())
+}
+
+/// The full default sweep's outcome, computed by [`run_full_dse`] on the
+/// first call and shared by every later caller in the process. Concurrent
+/// first callers block on the one sweep instead of each running their own.
+#[must_use]
+pub fn full_dse() -> &'static DseOutcome {
+    static FULL: OnceLock<DseOutcome> = OnceLock::new();
+    FULL.get_or_init(run_full_dse)
 }
 
 /// Per-thread sweep accumulator: scores paired with *flat design-point
@@ -583,10 +594,12 @@ pub fn sweep_fingerprint(space: &[AcceleratorConfig], table: &EnergyTable) -> u6
     h
 }
 
-/// Incremental-DSE cache: repeated sweeps with identical inputs (router
-/// re-pricing, tornado arms, repeated experiments) return the memoized outcome
-/// instead of re-running the search. Valid across worker counts because
-/// the sweep is bit-identical at any `--jobs`.
+/// Incremental-DSE cache: repeated sweeps with identical inputs (the `dse`
+/// experiment's replay check, the benchmark's accelerator part) return the
+/// memoized outcome instead of re-running the search. A miss on the full
+/// default sweep is served by [`full_dse`], so it costs no second sweep in
+/// a process that already ran one. Valid across worker counts because the
+/// sweep is bit-identical at any `--jobs`.
 #[derive(Debug, Clone, Default)]
 pub struct DseCache {
     entries: Vec<(u64, DseOutcome)>,
@@ -613,7 +626,11 @@ impl DseCache {
             self.hits += 1;
             return cached.clone();
         }
-        let outcome = run_dse(space, table);
+        let outcome = if key == sweep_fingerprint(&design_space(), &EnergyTable::default()) {
+            full_dse().clone()
+        } else {
+            run_dse(space, table)
+        };
         self.entries.push((key, outcome.clone()));
         outcome
     }

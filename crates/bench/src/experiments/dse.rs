@@ -1,7 +1,7 @@
 //! Figure 17: accelerator design-space exploration results, plus the
 //! mapping-search diagnostics extension (`dse`).
 
-use sudc_accel::dse::{run_full_dse, DseCache, SystemArchitecture};
+use sudc_accel::dse::{full_dse, DseCache, SystemArchitecture};
 use sudc_router::{RouterConfig, Tier, APPS};
 
 use crate::format::table;
@@ -10,7 +10,7 @@ use crate::format::table;
 /// over the commodity GPU baseline, from the full 7 168-design sweep.
 #[must_use]
 pub fn fig17() -> String {
-    let outcome = run_full_dse();
+    let outcome = full_dse();
     let mut rows: Vec<Vec<String>> = outcome
         .networks
         .iter()

@@ -23,10 +23,11 @@ pub fn fig19() -> String {
 }
 
 /// Fig. 21: collaborative-constellation benefit per payload architecture,
-/// using the Fig. 17 DSE outcomes as efficiency factors.
+/// using the Fig. 17 DSE outcomes as efficiency factors (the process-wide
+/// sweep `fig17` shares).
 #[must_use]
 pub fn fig21() -> String {
-    let outcome = sudc_accel::dse::run_full_dse();
+    let outcome = sudc_accel::dse::full_dse();
     use sudc_accel::dse::SystemArchitecture as Sa;
     let archs = [
         ("Commodity GPU", 1.0),

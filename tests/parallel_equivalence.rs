@@ -8,13 +8,15 @@
 
 use proptest::prelude::*;
 use space_udc::accel::design::design_space;
-use space_udc::accel::dse::{run_dse_serial, run_dse_threads};
+use space_udc::accel::dse::{full_dse, run_dse_serial, run_dse_threads, DseCache};
 use space_udc::accel::energy::EnergyTable;
 use space_udc::par::{chunk_bounds, par_map_threads, par_reduce_threads};
 
 /// The acceptance-criterion test: the *full* 7,168-point sweep picks
 /// bit-identical winners (global, per-network, per-layer energies) in
-/// serial and at several parallel widths.
+/// serial and at several parallel widths, and the process-wide outcome
+/// every experiment shares ([`full_dse`], also behind [`DseCache`]) is
+/// that same sweep, computed once however many threads ask for it first.
 #[test]
 fn full_design_space_sweep_is_bit_identical_serial_vs_parallel() {
     let space = design_space();
@@ -25,6 +27,30 @@ fn full_design_space_sweep_is_bit_identical_serial_vs_parallel() {
         let got = run_dse_threads(workers, &space, &table);
         assert_eq!(got, reference, "workers={workers}");
     }
+
+    let start = std::sync::Barrier::new(4);
+    let shared: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    full_dse()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for outcome in shared {
+        assert!(
+            std::ptr::eq(outcome, full_dse()),
+            "concurrent first callers must share one outcome"
+        );
+    }
+    assert_eq!(*full_dse(), reference);
+
+    let mut cache = DseCache::new();
+    assert_eq!(cache.run_full(), *full_dse());
+    assert_eq!((cache.lookups(), cache.hits()), (1, 0));
 }
 
 #[test]
