@@ -56,7 +56,7 @@ impl Dataflow {
 /// Bytes per activation/weight word (16-bit).
 const WORD_BYTES: f64 = 2.0;
 /// Bytes per partial sum (32-bit accumulator).
-const PSUM_BYTES: f64 = 4.0;
+pub(crate) const PSUM_BYTES: f64 = 4.0;
 
 /// Detailed action counts for one layer on one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,25 +190,8 @@ pub fn count_accesses_mapped(
     // NoC transfers mirror buffer-to-array traffic.
     let noc_transfers = glb_ifmap + glb_weight;
 
-    // DRAM: every tensor at least once; the outer loop's resident tensor
-    // forces re-fetching of the streaming one once per resident tile
-    // beyond the first.
-    let ifmap_bytes = layer.input_activations() as f64 * WORD_BYTES;
-    let weight_bytes = layer.weights() as f64 * WORD_BYTES;
-    let output_bytes = layer.output_activations() as f64 * WORD_BYTES;
-    let ifmap_passes = (ifmap_bytes / (f64::from(config.ifmap_kib) * 1024.0))
-        .ceil()
-        .max(1.0);
-    let weight_passes = (weight_bytes / (f64::from(config.weight_kib) * 1024.0))
-        .ceil()
-        .max(1.0);
-    let refetch = match mapping.schedule.order {
-        LoopOrder::WeightsOuter => ifmap_bytes * (weight_passes - 1.0),
-        LoopOrder::IfmapOuter => weight_bytes * (ifmap_passes - 1.0),
-    };
-    let dram_bytes = ifmap_bytes + weight_bytes + output_bytes + refetch;
-    let dram_words = dram_bytes / WORD_BYTES;
-    let dram_refetch_words = refetch / WORD_BYTES;
+    // DRAM: every tensor at least once, plus the loop order's re-fetch.
+    let (dram_words, dram_refetch_words) = dram_traffic(config, layer, mapping.schedule.order);
 
     // Cycles: utilization-limited MAC issue.
     let cycles = macs / (m_par * row_par);
@@ -223,6 +206,33 @@ pub fn count_accesses_mapped(
         cycles,
         utilization,
     }
+}
+
+/// DRAM traffic of `layer` on `config` under a loop order, in words:
+/// `(total, re-fetch)`. Every tensor moves at least once; the outer loop's
+/// resident tensor forces re-fetching of the streaming one once per
+/// resident tile beyond the first. Engine- and tile-independent, so the
+/// mapping search computes it once per `(config, shape)`.
+pub(crate) fn dram_traffic(
+    config: AcceleratorConfig,
+    layer: &Layer,
+    order: LoopOrder,
+) -> (f64, f64) {
+    let ifmap_bytes = layer.input_activations() as f64 * WORD_BYTES;
+    let weight_bytes = layer.weights() as f64 * WORD_BYTES;
+    let output_bytes = layer.output_activations() as f64 * WORD_BYTES;
+    let ifmap_passes = (ifmap_bytes / (f64::from(config.ifmap_kib) * 1024.0))
+        .ceil()
+        .max(1.0);
+    let weight_passes = (weight_bytes / (f64::from(config.weight_kib) * 1024.0))
+        .ceil()
+        .max(1.0);
+    let refetch = match order {
+        LoopOrder::WeightsOuter => ifmap_bytes * (weight_passes - 1.0),
+        LoopOrder::IfmapOuter => weight_bytes * (ifmap_passes - 1.0),
+    };
+    let dram_bytes = ifmap_bytes + weight_bytes + output_bytes + refetch;
+    (dram_bytes / WORD_BYTES, refetch / WORD_BYTES)
 }
 
 /// Energy for one inference of `layer` on `config`.

@@ -10,10 +10,12 @@
 //!
 //! A *design point* here is an [`AcceleratorConfig`] × a hardwired mapping
 //! [`Engine`] (dataflow × spatial projection): 7 168 configurations × 6
-//! engines. Software [`Schedule`]s (loop order × output-row tiling) are
-//! searched per layer on every design point — see [`crate::mapping`] —
-//! through the shape-deduplicated [`LayerMemo`], with energy lower-bound
-//! pruning inside each schedule search. The sweep runs chunked across the
+//! engines. Software [`Schedule`](mapping::Schedule)s (loop order ×
+//! output-row tiling) are searched per layer on every design point — see
+//! [`crate::mapping`] — through the shape-deduplicated [`LayerMemo`], with
+//! each shape's schedule-independent cost terms built once per config and
+//! shared by all six engines, and energy lower-bound pruning inside each
+//! schedule search. The sweep runs chunked across the
 //! [`sudc_par`] executor and is bit-identical to its serial oracle at any
 //! worker count: chunk results merge left-to-right with a strictly-greater
 //! test on flat `(config, engine)` indices, so ties resolve to the lowest
@@ -36,7 +38,7 @@ use sudc_units::Joules;
 
 use crate::design::{design_space, AcceleratorConfig};
 use crate::energy::EnergyTable;
-use crate::mapping::{self, Engine, SearchCounters, ENGINE_COUNT};
+use crate::mapping::{self, Engine, SearchCounters, ShapeCost, ENGINE_COUNT};
 use crate::memo::LayerMemo;
 
 /// Framework overhead on the GPU baseline: measured wall-power × time
@@ -301,24 +303,15 @@ fn sweep_config(
     let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
     let engines = Engine::all();
 
-    // Phase 1: best-schedule search per (shape, engine); ln-efficiencies
-    // land in the scratch table keyed on (shape, engine).
+    // Phase 1: best-schedule search per (shape, engine), each shape's
+    // schedule-independent cost terms hoisted once for all six engines;
+    // ln-efficiencies land in the scratch table keyed on (shape, engine).
     for (si, layer) in memo.unique_layers().iter().enumerate() {
         let candidates = memo.candidates(si);
-        let dram = mapping::dram_pj_by_order(config, table, layer);
+        let cost = ShapeCost::new(config, table, glb_pj, layer);
         let macs = layer.macs() as f64;
         for (ei, &engine) in engines.iter().enumerate() {
-            let choice = mapping::search(
-                config,
-                table,
-                glb_pj,
-                layer,
-                engine,
-                candidates,
-                dram,
-                true,
-                &mut best.counters,
-            );
+            let choice = mapping::search(&cost, engine, candidates, &mut best.counters);
             best.scratch[si * ENGINE_COUNT + ei] = (macs / (choice.picojoules * 1e-12)).ln();
         }
     }

@@ -23,11 +23,18 @@
 //! a relative margin for summation-order rounding), and ties keep the
 //! earliest candidate in canonical order, so the pruned search returns
 //! bit-identical winners to the unpruned reference — asserted by proptest.
+//!
+//! The search costs each candidate from terms hoisted per `(config,
+//! shape)` and per engine, written with the cost model's own expressions
+//! in its own summation order; only the tile-dependent terms are computed
+//! per candidate. The unpruned reference costs every candidate through
+//! [`count_accesses_mapped`] + [`picojoules_of`] instead, so the same
+//! proptest holds pruning and hoisting bit-exact together.
 
 use sudc_compute::networks::Layer;
 use sudc_units::Joules;
 
-use crate::dataflow::{count_accesses_mapped, picojoules_of, Dataflow};
+use crate::dataflow::{count_accesses_mapped, dram_traffic, picojoules_of, Dataflow, PSUM_BYTES};
 use crate::design::AcceleratorConfig;
 use crate::energy::EnergyTable;
 
@@ -310,24 +317,14 @@ pub fn best_schedule(
     engine: Engine,
     counters: &mut SearchCounters,
 ) -> ScheduleChoice {
-    let candidates = schedule_candidates(layer);
-    let dram = dram_pj_by_order(config, table, layer);
-    search(
-        config,
-        table,
-        glb_pj,
-        layer,
-        engine,
-        &candidates,
-        dram,
-        true,
-        counters,
-    )
+    let cost = ShapeCost::new(config, table, glb_pj, layer);
+    search(&cost, engine, &schedule_candidates(layer), counters)
 }
 
-/// The unpruned reference search — evaluates every candidate. Must return
-/// bit-identical results to [`best_schedule`]; the accel proptests hold
-/// them together.
+/// The unpruned reference search: costs every candidate through the
+/// documented model ([`count_accesses_mapped`] + [`picojoules_of`]), not
+/// through the hoisted kernel. [`best_schedule`] must return bit-identical
+/// results; the accel proptests hold pruning and hoisting to it together.
 #[must_use]
 pub fn best_schedule_unpruned(
     config: AcceleratorConfig,
@@ -336,112 +333,171 @@ pub fn best_schedule_unpruned(
     layer: &Layer,
     engine: Engine,
 ) -> ScheduleChoice {
-    let mut counters = SearchCounters::default();
-    let candidates = schedule_candidates(layer);
-    let dram = dram_pj_by_order(config, table, layer);
-    search(
-        config,
-        table,
-        glb_pj,
-        layer,
-        engine,
-        &candidates,
-        dram,
-        false,
-        &mut counters,
-    )
+    let mut best: Option<ScheduleChoice> = None;
+    for schedule in schedule_candidates(layer) {
+        let counts = count_accesses_mapped(config, layer, Mapping { engine, schedule });
+        let picojoules = picojoules_of(config, table, glb_pj, &counts);
+        if best.is_none_or(|b| picojoules < b.picojoules) {
+            best = Some(ScheduleChoice {
+                schedule,
+                picojoules,
+            });
+        }
+    }
+    best.expect("schedule_candidates is never empty")
 }
 
-/// DRAM energy per loop order (engine-independent: the loop order alone
-/// decides which tensor re-streams) — hoisted out of the engine loop by
-/// the sweep, recomputed here for standalone calls.
-#[must_use]
-pub fn dram_pj_by_order(config: AcceleratorConfig, table: &EnergyTable, layer: &Layer) -> [f64; 2] {
-    let engine = Engine::canonical(Dataflow::RowStationary);
-    let words = |order| {
-        let c = count_accesses_mapped(
-            config,
-            layer,
-            Mapping {
-                engine,
-                schedule: Schedule { order, ow_tile: 1 },
-            },
-        );
-        table.dram_effective_words(c.dram_words, c.dram_refetch_words)
-    };
-    [
-        words(LoopOrder::WeightsOuter) * table.dram_pj,
-        words(LoopOrder::IfmapOuter) * table.dram_pj,
-    ]
-}
-
-/// The sweep's hot entry: candidates and per-order DRAM energy hoisted to
-/// per-shape precomputation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search(
+/// The schedule- and engine-independent terms of the cost model for one
+/// layer shape on one configuration, built once per `(config, shape)` and
+/// shared by every engine's [`search`]. Each field is the exact
+/// subexpression [`count_accesses_mapped`] + [`picojoules_of`] (or the
+/// prune floor) compute, so hoisting it changes no bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShapeCost {
     config: AcceleratorConfig,
-    table: &EnergyTable,
+    noc_pj: f64,
     glb_pj: f64,
-    layer: &Layer,
+    macs: f64,
+    k: f64,
+    out_w: f64,
+    out_h: f64,
+    out_c: f64,
+    weights: f64,
+    /// MAC + RF energy, the head of both the exact sum and the floor.
+    head_pj: f64,
+    psum_capacity: f64,
+    /// `2·macs/k²`: buffer psum accesses per unit of spill.
+    psum_per_spill: f64,
+    /// DRAM energy per loop order.
+    dram_pj: [f64; 2],
+    /// Memory-bound cycles per loop order as the floor writes them
+    /// (`dram_pj / dram_pj / words_per_cycle`).
+    floor_mem_cycles: [f64; 2],
+    /// Memory-bound cycles per loop order as the exact model writes them
+    /// (`effective words / words_per_cycle`).
+    exact_mem_cycles: [f64; 2],
+    leak_pj_per_cycle: f64,
+    /// NoC hop energy scale with array extent (wire length).
+    wire_scale: f64,
+}
+
+impl ShapeCost {
+    pub(crate) fn new(
+        config: AcceleratorConfig,
+        table: &EnergyTable,
+        glb_pj: f64,
+        layer: &Layer,
+    ) -> Self {
+        let macs = layer.macs() as f64;
+        let k = f64::from(layer.kernel).max(1.0);
+        let dram_words = LoopOrder::all().map(|order| {
+            let (words, refetch) = dram_traffic(config, layer, order);
+            table.dram_effective_words(words, refetch)
+        });
+        let dram_pj = dram_words.map(|words| words * table.dram_pj);
+        Self {
+            config,
+            noc_pj: table.noc_pj,
+            glb_pj,
+            macs,
+            k,
+            out_w: f64::from(layer.output_w()).max(1.0),
+            out_h: f64::from(layer.output_h()).max(1.0),
+            out_c: f64::from(layer.out_channels).max(1.0),
+            weights: layer.weights() as f64,
+            head_pj: macs * table.mac_pj + 3.0 * macs * table.rf_pj,
+            psum_capacity: f64::from(config.psum_kib) * 1024.0,
+            psum_per_spill: 2.0 * macs / (k * k),
+            dram_pj,
+            floor_mem_cycles: dram_pj.map(|pj| pj / table.dram_pj / table.dram_words_per_cycle),
+            exact_mem_cycles: dram_words.map(|words| words / table.dram_words_per_cycle),
+            leak_pj_per_cycle: table.leakage_pj_per_cycle(
+                f64::from(config.pes()),
+                f64::from(config.total_buffer_kib()),
+            ),
+            wire_scale: f64::from(config.pe_x.max(config.pe_y)) / 16.0,
+        }
+    }
+}
+
+/// The sweep's hot kernel: the pruned best-schedule search on one engine,
+/// costed from the shape's hoisted invariants ([`ShapeCost`]).
+///
+/// Per engine it computes only the spatial parallelism, the cycle count
+/// and, per loop order, the wall-clock leakage of the floor and of the
+/// exact cost. Per candidate it computes only the tile-dependent terms:
+/// the tiling traffic term (RS weight re-fetch `macs / (row_par·tile_w)`,
+/// WS ifmap halo `(macs/m_par)·halo`) — one value that is both the prune
+/// floor's tiling term and the exact cost's glb term — and the psum
+/// spill. Every expression and summation order is the one
+/// [`count_accesses_mapped`] + [`picojoules_of`] write, so each energy is
+/// bit-identical to [`best_schedule_unpruned`]'s.
+pub(crate) fn search(
+    cost: &ShapeCost,
     engine: Engine,
     candidates: &[Schedule],
-    dram_by_order: [f64; 2],
-    prune: bool,
     counters: &mut SearchCounters,
 ) -> ScheduleChoice {
-    let macs = layer.macs() as f64;
-    let out_w = f64::from(layer.output_w()).max(1.0);
-    let out_c = f64::from(layer.out_channels).max(1.0);
-    let out_h = f64::from(layer.output_h()).max(1.0);
-    let k = f64::from(layer.kernel).max(1.0);
-    let (m_par, row_par) = engine.spatial.parallelism(config, out_c, out_h);
+    let macs = cost.macs;
+    let (m_par, row_par) = engine
+        .spatial
+        .parallelism(cost.config, cost.out_c, cost.out_h);
     let cycles = macs / (m_par * row_par);
+    // The buffer term tiling leaves alone: RS ifmap, WS weights.
+    let fixed_glb = match engine.dataflow {
+        Dataflow::RowStationary => macs / (m_par * cost.k),
+        Dataflow::WeightStationary => cost.weights,
+    };
+    let ws_ifmap = macs / m_par;
 
-    // Schedule-independent part of the floor: arithmetic and RF traffic
-    // are identical for every schedule of this engine. Leakage is added
-    // per loop order below (the roofline stall depends on DRAM words,
-    // which the order decides).
-    let base_floor = macs * table.mac_pj + 3.0 * macs * table.rf_pj;
-    let leak_pj_per_cycle = table.leakage_pj_per_cycle(
-        f64::from(config.pes()),
-        f64::from(config.total_buffer_kib()),
-    );
-    // Wall-clock cycles per order: compute- or memory-bound, whichever
-    // binds. DRAM traffic is tile-independent, so this is exact.
-    let wall_cycles_by_order = dram_by_order.map(|dram_pj_total| {
-        cycles.max(dram_pj_total / table.dram_pj / table.dram_words_per_cycle)
+    // Per loop order: wall-clock cycles are compute- or memory-bound,
+    // whichever binds, and DRAM traffic is tile-independent. The floor
+    // keeps its own memory term, so its schedule-independent part is
+    // MAC + RF + DRAM + leakage, summed in the floor's order.
+    let floor_by_order = [0, 1].map(|o| {
+        cost.head_pj
+            + cost.dram_pj[o]
+            + cycles.max(cost.floor_mem_cycles[o]) * cost.leak_pj_per_cycle
     });
+    let leak_by_order = cost
+        .exact_mem_cycles
+        .map(|mem_cycles| cycles.max(mem_cycles) * cost.leak_pj_per_cycle);
 
     let mut best: Option<ScheduleChoice> = None;
     for &schedule in candidates {
-        if prune {
-            if let Some(incumbent) = best {
-                // Tiling-dependent traffic floor: the term that *grows*
-                // with the tile factor (weight re-fetch under RS, ifmap
-                // halo under WS), at buffer access energy.
-                let t_eff = f64::from(schedule.ow_tile).min(out_w);
-                let tile_term = match engine.dataflow {
-                    Dataflow::RowStationary => macs / (row_par * (out_w / t_eff)),
-                    Dataflow::WeightStationary => {
-                        (macs / m_par) * (1.0 + (t_eff - 1.0) * (k - 1.0) / out_w)
-                    }
-                };
-                let oi = match schedule.order {
-                    LoopOrder::WeightsOuter => 0,
-                    LoopOrder::IfmapOuter => 1,
-                };
-                let floor = base_floor
-                    + dram_by_order[oi]
-                    + wall_cycles_by_order[oi] * leak_pj_per_cycle
-                    + tile_term * glb_pj;
-                if floor >= incumbent.picojoules * PRUNE_MARGIN {
-                    counters.pruned += 1;
-                    continue;
-                }
+        let oi = match schedule.order {
+            LoopOrder::WeightsOuter => 0,
+            LoopOrder::IfmapOuter => 1,
+        };
+        let t_eff = f64::from(schedule.ow_tile).min(cost.out_w);
+        let tile_w = cost.out_w / t_eff;
+        // The term that *grows* with the tile factor: weight re-fetch
+        // under RS, ifmap halo under WS.
+        let tile_term = match engine.dataflow {
+            Dataflow::RowStationary => macs / (row_par * tile_w),
+            Dataflow::WeightStationary => {
+                ws_ifmap * (1.0 + (t_eff - 1.0) * (cost.k - 1.0) / cost.out_w)
+            }
+        };
+        if let Some(incumbent) = best {
+            let floor = floor_by_order[oi] + tile_term * cost.glb_pj;
+            if floor >= incumbent.picojoules * PRUNE_MARGIN {
+                counters.pruned += 1;
+                continue;
             }
         }
-        let counts = count_accesses_mapped(config, layer, Mapping { engine, schedule });
-        let picojoules = picojoules_of(config, table, glb_pj, &counts);
+        // glb_ifmap + glb_weight, in the model's operand order.
+        let noc_transfers = match engine.dataflow {
+            Dataflow::RowStationary => fixed_glb + tile_term,
+            Dataflow::WeightStationary => tile_term + fixed_glb,
+        };
+        let psum_spill = (tile_w * m_par * PSUM_BYTES / cost.psum_capacity).max(1.0);
+        let glb_accesses = noc_transfers + cost.psum_per_spill * psum_spill;
+        let picojoules = cost.head_pj
+            + noc_transfers * cost.noc_pj * cost.wire_scale
+            + glb_accesses * cost.glb_pj
+            + cost.dram_pj[oi]
+            + leak_by_order[oi];
         counters.evaluated += 1;
         // Strictly-less keeps the earliest candidate on ties, matching the
         // unpruned reference.
@@ -497,10 +553,12 @@ pub fn best_mapping_energy(
     layer: &Layer,
 ) -> (Joules, Mapping) {
     let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
+    let cost = ShapeCost::new(config, table, glb_pj, layer);
+    let candidates = schedule_candidates(layer);
     let mut c = SearchCounters::default();
     let mut best: Option<(f64, Mapping)> = None;
     for engine in Engine::all() {
-        let choice = best_schedule(config, table, glb_pj, layer, engine, &mut c);
+        let choice = search(&cost, engine, &candidates, &mut c);
         if best.is_none_or(|(pj, _)| choice.picojoules < pj) {
             best = Some((
                 choice.picojoules,

@@ -16,9 +16,6 @@ use std::collections::HashMap;
 
 use sudc_compute::networks::{Layer, Network};
 
-use crate::dataflow::layer_efficiency;
-use crate::design::AcceleratorConfig;
-use crate::energy::EnergyTable;
 use crate::mapping::{schedule_candidates, Schedule};
 
 /// Shape-deduplicated view of a network suite.
@@ -117,16 +114,6 @@ impl LayerMemo {
     pub fn dedup_hits(&self, configs: usize, engines: usize) -> u64 {
         (self.total_layers - self.unique.len()) as u64 * configs as u64 * engines as u64
     }
-
-    /// Evaluates `layer_efficiency` once per distinct shape for one
-    /// configuration; read results back through [`Self::slot`].
-    #[must_use]
-    pub fn efficiencies(&self, config: AcceleratorConfig, table: &EnergyTable) -> Vec<f64> {
-        self.unique
-            .iter()
-            .map(|layer| layer_efficiency(config, table, layer))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -178,25 +165,6 @@ mod tests {
         let memo = LayerMemo::for_networks(&suite());
         for (si, layer) in memo.unique_layers().iter().enumerate() {
             assert_eq!(memo.candidates(si), schedule_candidates(layer));
-        }
-    }
-
-    #[test]
-    fn memoized_efficiencies_match_direct_evaluation() {
-        let networks = suite();
-        let memo = LayerMemo::for_networks(&networks);
-        let table = EnergyTable::default();
-        let config = AcceleratorConfig::reference();
-        let effs = memo.efficiencies(config, &table);
-        for (ni, net) in networks.iter().enumerate().take(3) {
-            for (li, layer) in net.layers.iter().enumerate() {
-                let direct = layer_efficiency(config, &table, layer);
-                let memoized = effs[memo.slot(ni, li)];
-                assert!(
-                    (direct - memoized).abs() == 0.0,
-                    "net {ni} layer {li}: {direct} vs {memoized}"
-                );
-            }
         }
     }
 }

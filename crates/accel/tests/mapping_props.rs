@@ -7,9 +7,15 @@
 //!    mappings are exact points of the searched space, so the best searched
 //!    mapping can never cost more than either — on any layer of any
 //!    Table III network, at any design point.
-//! 2. **Pruning is lossless.** The lower-bound prune must return results
-//!    bit-identical to the exhaustive search: same winning schedule, same
-//!    energy bits.
+//! 2. **Pruning and hoisting are lossless.** The pruned search, which costs
+//!    schedules from hoisted per-shape terms, must return results
+//!    bit-identical to the exhaustive reference, which costs every schedule
+//!    through `count_accesses_mapped` + `picojoules_of`: same winning
+//!    schedule, same energy bits.
+//!
+//! Both properties draw the energy table from every table the figures cost
+//! with: the default same-node table, the Eyeriss reference, and the four
+//! precision-rescaled tables of Ext. E.
 //!
 //! Case counts honour `SUDC_PROPTEST_CASES` (see `.github/workflows/ci.yml`).
 
@@ -20,12 +26,23 @@ use sudc_accel::energy::EnergyTable;
 use sudc_accel::mapping::{best_schedule, best_schedule_unpruned, SearchCounters};
 use sudc_accel::Engine;
 use sudc_compute::networks::NetworkId;
+use sudc_compute::precision::Precision;
 
 fn cases() -> u32 {
     std::env::var("SUDC_PROPTEST_CASES")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(32)
+}
+
+/// The default table, the Eyeriss reference, then Ext. E's precisions.
+fn table(idx: usize) -> EnergyTable {
+    let precisions = Precision::all();
+    match idx % (2 + precisions.len()) {
+        0 => EnergyTable::default(),
+        1 => EnergyTable::eyeriss_45nm(),
+        i => EnergyTable::default().for_precision(precisions[i - 2]),
+    }
 }
 
 proptest! {
@@ -36,9 +53,9 @@ proptest! {
     /// two points the pre-search model hardwired).
     #[test]
     fn searched_best_dominates_both_fixed_dataflows(
-        config_idx in 0usize..7168, net_idx in 0usize..10,
+        config_idx in 0usize..7168, net_idx in 0usize..10, table_idx in 0usize..6,
     ) {
-        let table = EnergyTable::default();
+        let table = table(table_idx);
         let space = design_space();
         let config = space[config_idx % space.len()];
         let network = NetworkId::all()[net_idx % NetworkId::all().len()].network();
@@ -57,14 +74,14 @@ proptest! {
         }
     }
 
-    /// Invariant 2: the pruned search and the unpruned reference return
-    /// bit-identical winners (schedule and energy) for every engine on
-    /// every layer of a sampled network.
+    /// Invariant 2: the pruned, hoisted search and the unpruned reference
+    /// return bit-identical winners (schedule and energy) for every engine
+    /// on every layer of a sampled network.
     #[test]
     fn pruned_search_matches_unpruned_reference(
-        config_idx in 0usize..7168, net_idx in 0usize..10,
+        config_idx in 0usize..7168, net_idx in 0usize..10, table_idx in 0usize..6,
     ) {
-        let table = EnergyTable::default();
+        let table = table(table_idx);
         let space = design_space();
         let config = space[config_idx % space.len()];
         let network = NetworkId::all()[net_idx % NetworkId::all().len()].network();
