@@ -13,35 +13,30 @@
 //! * [`Bus`] publishes typed [`Sample`]s to a synchronous
 //!   [`Subscriber`]; in passthrough mode the overhead over direct state
 //!   mutation is a counter and a match.
-//! * [`TopicChannel`] is the buffered endpoint that *executes* a
-//!   lowered contract — bounded-retry delivery, deadline shedding,
-//!   history eviction, transient-local late-join replay.
 //! * [`BusLog`] records a session as a compact delta-encoded binary
 //!   stream that can re-drive any subscriber deterministically.
 //!
-//! QoS policies are not simulation fiction: each lowers onto a
-//! physical model that already exists in the workspace (see
-//! [`QosContract::try_lower`] and `docs/MODELING.md` § Data plane).
-//! `RELIABLE` becomes the bounded ISL retry budget, `DEADLINE` becomes
-//! the standing freshness SLO ([`STANDARD_FRESHNESS_DEADLINE_S`]), and
-//! `TRANSIENT_LOCAL` becomes contact-window store-and-forward with a
-//! bounded queue.
+//! The bus declares the contracts; it does not execute them. Each
+//! policy lowers onto a physical model that already exists in the
+//! workspace (see [`QosContract::try_lower`] and `docs/MODELING.md`
+//! § Data plane), and the sim kernel's `RecoveryPolicy` is its one
+//! executor: `RELIABLE` becomes the bounded ISL retry budget,
+//! `DEADLINE` becomes the standing freshness SLO
+//! ([`STANDARD_FRESHNESS_DEADLINE_S`]), and `TRANSIENT_LOCAL` becomes
+//! the downlink queue that stores insights until the next contact
+//! window, bounded by `RecoveryPolicy.downlink_queue_limit`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bus;
-mod endpoint;
 mod qos;
 mod record;
 mod sample;
 mod topic;
 
 pub use bus::{Bus, BusStats, Subscriber};
-pub use endpoint::{ChannelStats, Delivery, TopicChannel, WRITER_ANONYMOUS};
-pub use qos::{
-    Durability, LivelinessQos, LoweredQos, QosContract, Reliability, STANDARD_FRESHNESS_DEADLINE_S,
-};
+pub use qos::{Durability, LoweredQos, QosContract, Reliability, STANDARD_FRESHNESS_DEADLINE_S};
 pub use record::BusLog;
 pub use sample::{FaultKind, HealthEvent, Payload, Sample, Tick};
 pub use topic::{

@@ -8,14 +8,16 @@
 //! |---------------------------|--------------------------------------------------------|
 //! | `RELIABLE { max_retries }`| bounded-retry ISL delivery (`RecoveryPolicy.max_retries`) |
 //! | `DEADLINE { deadline_s }` | freshness shedding (`RecoveryPolicy.deadline_ticks`)   |
-//! | `TRANSIENT_LOCAL` + depth | contact-window store-and-forward with bounded history  |
+//! | `TRANSIENT_LOCAL` + depth | store-and-forward in the sim's downlink queue (`RecoveryPolicy.downlink_queue_limit`) |
 //! | `BEST_EFFORT`             | fire-and-forget (a drop is a drop)                     |
 //!
-//! Lowering is explicit: [`QosContract::try_lower`] converts the
-//! wall-clock contract into integer tick quantities for a given tick
-//! length, using the same round-to-nearest arithmetic as the chaos
-//! layer's `PolicySpec`, so a contract lowered here and a hand-built
-//! `RecoveryPolicy` agree bit-for-bit.
+//! The bus itself executes none of these policies: the sim kernel's
+//! `RecoveryPolicy` and downlink queue do. Lowering is explicit:
+//! [`QosContract::try_lower`] converts the wall-clock contract into
+//! integer tick quantities for a given tick length, using the same
+//! round-to-nearest arithmetic as the chaos layer's `PolicySpec`, so a
+//! contract lowered here and the `RecoveryPolicy` the chaos `combined`
+//! campaign builds from it agree bit-for-bit.
 
 use sudc_errors::{Diagnostics, SudcError};
 
@@ -58,79 +60,16 @@ impl Reliability {
     }
 }
 
-/// Writer-liveliness policy for a topic (the DDS `LIVELINESS` QoS,
-/// `AUTOMATIC` kind): a writer asserts liveliness implicitly with every
-/// publish, and a writer that goes `lease_s` seconds without publishing
-/// is considered dead. The bus lowers the lease onto integer ticks and
-/// evicts a dead writer's retained (transient-local) history so late
-/// joiners never replay samples from a publisher the health plane has
-/// quarantined; `sudc-health` uses the same lease as the heartbeat
-/// expectation of its failure detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LivelinessQos {
-    /// Lease duration in seconds; `0.0` disables liveliness tracking
-    /// (writers are never declared dead).
-    pub lease_s: f64,
-}
-
-impl LivelinessQos {
-    /// No liveliness tracking: writers never expire.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self { lease_s: 0.0 }
-    }
-
-    /// Automatic liveliness with the given lease duration.
-    ///
-    /// # Panics
-    /// Panics if `lease_s` is not a positive finite number; see
-    /// [`LivelinessQos::try_automatic`].
-    #[must_use]
-    pub fn automatic(lease_s: f64) -> Self {
-        Self::try_automatic(lease_s).expect("lease_s must be positive and finite")
-    }
-
-    /// Fallible [`LivelinessQos::automatic`].
-    ///
-    /// # Errors
-    /// Returns a [`SudcError`] unless `lease_s` is positive and finite
-    /// (use [`LivelinessQos::disabled`] to opt out instead of a zero
-    /// lease).
-    pub fn try_automatic(lease_s: f64) -> Result<Self, SudcError> {
-        let mut d = Diagnostics::new("LivelinessQos::try_automatic");
-        d.positive("lease_s", lease_s);
-        d.finish()?;
-        Ok(Self { lease_s })
-    }
-
-    /// Whether liveliness tracking is active.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.lease_s > 0.0
-    }
-
-    /// Collects every violation into `d` under `path`.
-    pub fn validate_into(&self, d: &mut Diagnostics, path: &str) {
-        if !(self.lease_s.is_finite() && self.lease_s >= 0.0) {
-            d.violation(
-                format!("{path}.lease_s"),
-                self.lease_s,
-                "finite and >= 0 (0 disables liveliness)",
-            );
-        }
-    }
-}
-
-/// Sample-availability policy for late-joining readers.
+/// Sample-availability policy: whether undelivered samples wait for a
+/// reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
-    /// Samples exist only in flight; a reader attached after publication
-    /// sees nothing.
+    /// Samples exist only in flight.
     Volatile,
-    /// The writer retains the most recent `history_depth` samples and
-    /// replays them to a late-joining reader — the contact-window
-    /// store-and-forward idiom: insights accumulate on orbit while no
-    /// ground station is visible and drain at the next pass.
+    /// Up to `history_depth` samples wait on orbit for the next contact
+    /// window — the store-and-forward idiom. For `eo/insights` the sim
+    /// kernel's downlink queue executes it, with the topic's
+    /// `history_depth` as `RecoveryPolicy.downlink_queue_limit`.
     TransientLocal,
 }
 
@@ -144,14 +83,12 @@ pub struct QosContract {
     pub reliability: Reliability,
     /// Freshness deadline in seconds; `0.0` disables deadline shedding.
     pub deadline_s: f64,
-    /// Availability of past samples to late-joining readers.
+    /// Whether undelivered samples wait for the next contact window.
     pub durability: Durability,
-    /// Bounded history: the writer keeps at most this many undelivered
-    /// samples, evicting oldest-first. `0` means unbounded.
+    /// Bounded history: at most this many undelivered samples wait,
+    /// the oldest shed first (the sim's batch or downlink queue bound).
+    /// `0` means unbounded.
     pub history_depth: usize,
-    /// Writer-liveliness lease (disabled for every standard contract;
-    /// the health plane opts in per topic).
-    pub liveliness: LivelinessQos,
 }
 
 impl QosContract {
@@ -163,7 +100,6 @@ impl QosContract {
             deadline_s: 0.0,
             durability: Durability::Volatile,
             history_depth: 0,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -178,7 +114,6 @@ impl QosContract {
             deadline_s: STANDARD_FRESHNESS_DEADLINE_S,
             durability: Durability::Volatile,
             history_depth: 512,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -194,7 +129,6 @@ impl QosContract {
             deadline_s: STANDARD_FRESHNESS_DEADLINE_S,
             durability: Durability::TransientLocal,
             history_depth: 256,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -207,8 +141,9 @@ impl QosContract {
     }
 
     /// Contract for the fault-event topic: reliable with
-    /// transient-local durability so an operator console attached
-    /// mid-mission still sees recent anomalies, bounded at 1024 events.
+    /// transient-local durability, bounded at 1024 events. It is
+    /// declared and reported (the `bus` experiment's lowering table);
+    /// no recovery policy is built from it.
     #[must_use]
     pub fn standard_faults() -> Self {
         Self {
@@ -216,7 +151,6 @@ impl QosContract {
             deadline_s: 0.0,
             durability: Durability::TransientLocal,
             history_depth: 1024,
-            liveliness: LivelinessQos::disabled(),
         }
     }
 
@@ -236,7 +170,6 @@ impl QosContract {
                 ">= 1 when durability is TransientLocal (store-and-forward needs a bounded store)",
             );
         }
-        self.liveliness.validate_into(d, path);
     }
 
     /// Validates the contract, reporting every violation at once.
@@ -269,14 +202,12 @@ impl QosContract {
             max_retries: self.reliability.max_retries(),
             history_depth: self.history_depth,
             transient_local: self.durability == Durability::TransientLocal,
-            lease_ticks: (self.liveliness.lease_s / tick_seconds).round() as u64,
         })
     }
 }
 
 /// A [`QosContract`] lowered onto integer tick quantities — the form
-/// the delivery machinery ([`crate::TopicChannel`], the sim's
-/// `RecoveryPolicy`) actually executes.
+/// the sim's `RecoveryPolicy` actually executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoweredQos {
     /// Freshness deadline in ticks (0 disables shedding).
@@ -285,12 +216,9 @@ pub struct LoweredQos {
     pub max_retries: u32,
     /// Bounded history depth (0 unbounded).
     pub history_depth: usize,
-    /// Whether delivered samples are retained for late joiners.
+    /// Whether undelivered samples are stored and forwarded at the
+    /// next contact window.
     pub transient_local: bool,
-    /// Writer-liveliness lease in ticks (0 disables liveliness; a writer
-    /// silent longer than this is dead and its retained history is
-    /// evicted).
-    pub lease_ticks: u64,
 }
 
 #[cfg(test)]
@@ -355,40 +283,5 @@ mod tests {
         for bad in [0.0, -0.1, f64::NAN] {
             assert!(QosContract::best_effort().try_lower(bad).is_err());
         }
-    }
-
-    #[test]
-    fn liveliness_lease_lowers_with_the_deadline_rounding() {
-        let c = QosContract {
-            liveliness: LivelinessQos::automatic(60.0),
-            ..QosContract::standard_telemetry()
-        };
-        let low = c.try_lower(0.1).unwrap();
-        assert_eq!(low.lease_ticks, 600);
-        // Every standard contract ships with liveliness disabled.
-        for std in [
-            QosContract::best_effort(),
-            QosContract::standard_captures(),
-            QosContract::standard_insights(),
-            QosContract::standard_telemetry(),
-            QosContract::standard_faults(),
-        ] {
-            assert!(!std.liveliness.is_enabled());
-            assert_eq!(std.try_lower(0.1).unwrap().lease_ticks, 0);
-        }
-    }
-
-    #[test]
-    fn hostile_lease_is_rejected_structurally() {
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(LivelinessQos::try_automatic(bad).is_err(), "{bad}");
-        }
-        let c = QosContract {
-            liveliness: LivelinessQos { lease_s: f64::NAN },
-            ..QosContract::best_effort()
-        };
-        let err = c.try_validate().unwrap_err();
-        assert!(err.violations().iter().any(|v| v.path.contains("lease_s")));
-        assert!(c.try_lower(0.1).is_err());
     }
 }

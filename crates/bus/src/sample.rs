@@ -198,8 +198,8 @@ pub enum Payload {
         /// How many times it happened at this tick (coalesced).
         count: u64,
     },
-    /// Liveliness heartbeat: powered compute node `node` asserted its
-    /// writer lease on the telemetry topic (health plane only).
+    /// Heartbeat: powered compute node `node` renewed its health-plane
+    /// lease on the telemetry topic (health plane only).
     Heartbeat {
         /// Index of the heartbeating node.
         node: u32,

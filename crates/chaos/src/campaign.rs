@@ -163,7 +163,7 @@ impl Campaign {
     }
 
     /// Correlated solar-storm campaign: the *same* expected kills per node
-    /// as [`Campaign::independent`], delivered as [`STORMS_PER_RUN`]
+    /// as [`Campaign::independent`], delivered as `STORMS_PER_RUN`
     /// cross-node-correlated latch-up shocks (mostly-mild windows with an
     /// occasional major event), plus an in-window SEU burst.
     #[must_use]
@@ -390,5 +390,27 @@ mod tests {
         let mut faulted = Campaign::ground_blackouts().apply(&cfg);
         faulted.faults = None;
         assert_eq!(faulted, cfg);
+    }
+
+    #[test]
+    fn combined_policy_is_the_lowered_standard_contracts() {
+        let cfg = base();
+        let policy = Campaign::combined(Seconds::new(3600.0))
+            .apply(&cfg)
+            .faults
+            .unwrap()
+            .policy;
+        let captures = QosContract::standard_captures()
+            .try_lower(cfg.tick_seconds)
+            .unwrap();
+        let insights = QosContract::standard_insights()
+            .try_lower(cfg.tick_seconds)
+            .unwrap();
+        assert_eq!(policy.deadline_ticks, captures.deadline_ticks);
+        assert_eq!(policy.deadline_ticks, insights.deadline_ticks);
+        assert_eq!(policy.max_retries, captures.max_retries);
+        assert_eq!(policy.max_retries, insights.max_retries);
+        assert_eq!(policy.batch_queue_limit, captures.history_depth);
+        assert_eq!(policy.downlink_queue_limit, insights.history_depth);
     }
 }

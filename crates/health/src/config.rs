@@ -1,6 +1,5 @@
 //! The recovery controller's contract and its tick lowering.
 
-use sudc_bus::LivelinessQos;
 use sudc_errors::{Diagnostics, SudcError};
 
 /// Contract for the closed-loop health plane.
@@ -20,7 +19,6 @@ use sudc_errors::{Diagnostics, SudcError};
 pub struct HealthConfig {
     /// Heartbeat lease in seconds: every powered node publishes one
     /// heartbeat per lease, and the detector scans at the same cadence.
-    /// Shared with the bus's `LIVELINESS` QoS ([`LivelinessQos`]).
     pub lease_s: f64,
     /// Consecutive missed leases before a node is SUSPECT.
     pub suspect_missed: u32,
@@ -60,14 +58,6 @@ impl HealthConfig {
         }
     }
 
-    /// The bus `LIVELINESS` lease this contract implies.
-    ///
-    /// # Errors
-    /// Returns a [`SudcError`] if `lease_s` is not positive and finite.
-    pub fn try_liveliness(&self) -> Result<LivelinessQos, SudcError> {
-        LivelinessQos::try_automatic(self.lease_s)
-    }
-
     /// Collects every contract violation into `d` under `path`.
     pub fn validate_into(&self, d: &mut Diagnostics, path: &str) {
         d.positive(format!("{path}.lease_s"), self.lease_s);
@@ -100,8 +90,7 @@ impl HealthConfig {
 
     /// Lowers the wall-clock contract onto integer tick quantities,
     /// using the same round-to-nearest arithmetic as
-    /// `QosContract::try_lower` so the detector lease and the bus
-    /// liveliness lease agree bit-for-bit.
+    /// `QosContract::try_lower`.
     ///
     /// # Errors
     /// Returns a [`SudcError`] if the contract is invalid, `tick_seconds`
@@ -162,17 +151,6 @@ mod tests {
         }
         assert!(HealthConfig::standard().closed_loop);
         assert!(!HealthConfig::monitor_only().closed_loop);
-    }
-
-    #[test]
-    fn liveliness_lease_matches_the_detector_lease() {
-        let cfg = HealthConfig::standard();
-        let liveliness = cfg.try_liveliness().unwrap();
-        assert_eq!(liveliness.lease_s, cfg.lease_s);
-        // Both lower with the same rounding.
-        let direct = cfg.try_lower(0.1).unwrap().lease_ticks;
-        let via_qos = (liveliness.lease_s / 0.1).round() as u64;
-        assert_eq!(direct, via_qos);
     }
 
     #[test]

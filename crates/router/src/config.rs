@@ -421,7 +421,7 @@ impl RouterConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`SudcError::Invalid`] naming each non-finite or
+    /// Returns a [`SudcError`] naming each non-finite or
     /// out-of-range coefficient.
     pub fn try_validate(&self) -> Result<(), SudcError> {
         let mut d = Diagnostics::new("RouterConfig");

@@ -6,9 +6,9 @@
 //! right, so the decision vector is byte-identical at any thread count.
 //!
 //! Inside a block the hot path is allocation-free: requests drain from
-//! the preallocated [`AdmissionQueue`] into structure-of-arrays columns,
-//! and each decision is four table lookups (one per tier) plus a
-//! handful of multiply-adds against the memoized
+//! the preallocated [`AdmissionQueue`](crate::AdmissionQueue) into
+//! structure-of-arrays columns, and each decision is four table lookups
+//! (one per tier) plus a handful of multiply-adds against the memoized
 //! [`TierTerms`](crate::config::TierTerms).
 
 use std::collections::HashSet;

@@ -3,7 +3,7 @@
 //! Routing is a steady-state pricing decision; whether the accepted
 //! placements actually *survive contact* with queueing, downlink windows,
 //! and injected faults is a dynamics question. [`RoutedLoad`] closes the
-//! loop: it turns a [`RoutingOutcome`](crate::engine::RoutingOutcome)
+//! loop: it turns a [`RoutingOutcome`]
 //! into a `sudc-sim` scenario — the share of the stream the router sent
 //! to the orbital SµDC becomes the fraction of captures entering the
 //! orbital pipeline — runs seeded replications (optionally under a

@@ -23,7 +23,7 @@
 //!   [`sudc_bus::BusLog`] to a byte-identical trace;
 //! - [`metrics`] — [`metrics::RunTrace`]: counts, latency percentiles,
 //!   exact time-weighted integrals;
-//! - [`replicate`] — [`replicate::SimSummary`]: N seeded replications in
+//! - [`replicate`](mod@replicate) — [`replicate::SimSummary`]: N seeded replications in
 //!   parallel via `sudc-par`, bit-identical at any thread count.
 //!
 //! # Examples

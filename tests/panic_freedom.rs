@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use space_udc::accel::dse::{try_gpu_joules_per_mac, try_run_dse};
 use space_udc::accel::energy::EnergyTable;
 use space_udc::accel::AcceleratorConfig;
-use space_udc::bus::{BusConfig, Durability, LivelinessQos, QosContract};
+use space_udc::bus::{BusConfig, Durability, QosContract};
 use space_udc::chaos::ChaosSummary;
 use space_udc::core::dynamics::DynamicScenario;
 use space_udc::core::tco::TcoReport;
@@ -589,18 +589,9 @@ proptest! {
         suspect in 0u32..4, dead in 0u32..6, probation in 0u32..4,
     ) {
         let h = hostile(sel, mag);
-        // The bus LIVELINESS lease accepts exactly positive finite
-        // seconds; a zero lease means "disabled" and must go through
-        // `LivelinessQos::disabled`, never `try_automatic`.
-        let liveliness = LivelinessQos::try_automatic(h);
-        prop_assert_eq!(liveliness.is_ok(), h.is_finite() && h > 0.0);
-        if let Err(e) = liveliness {
-            prop_assert!(structured(&e), "{e}");
-        }
-
-        // The detector contract additionally orders its thresholds:
-        // SUSPECT must precede DEAD, and zero-count thresholds are
-        // contradictions, not "disabled".
+        // The detector contract accepts exactly positive finite lease
+        // seconds and orders its thresholds: SUSPECT must precede DEAD,
+        // and zero-count thresholds are contradictions, not "disabled".
         let cfg = HealthConfig {
             lease_s: h,
             suspect_missed: suspect,
@@ -618,13 +609,6 @@ proptest! {
         if let Err(e) = result {
             prop_assert!(structured(&e), "{e}");
         }
-        // The liveliness projection depends on the lease alone.
-        let projected = cfg.try_liveliness();
-        prop_assert_eq!(projected.is_ok(), h.is_finite() && h > 0.0);
-        if let Err(e) = projected {
-            prop_assert!(structured(&e), "{e}");
-        }
-
         // Lowering validates contract and tick at once; a lease that
         // rounds to zero ticks is a structured error, not a silent
         // always-dead detector.
