@@ -13,7 +13,9 @@
 //! - [`par_map`], [`par_reduce`], and [`par_max_by`]: chunked data-parallel
 //!   primitives over slices whose merge order is *deterministic* (chunks
 //!   merge left-to-right in index order), so parallel output is
-//!   bit-identical to serial regardless of thread count;
+//!   bit-identical to serial regardless of thread count; and
+//!   [`par_chunks_mut`], which hands each worker disjoint chunks of an
+//!   output slice to fill in place, so there is no merge at all;
 //! - [`rng`]: a small, seedable, splittable pseudo-random generator
 //!   (SplitMix64 seeding a xoshiro256**-class core) used by the Monte-Carlo
 //!   models so trials can be partitioned across threads reproducibly;
@@ -169,26 +171,89 @@ where
     if bounds.len() <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(start, end)| {
-                let f = &f;
-                scope.spawn(move || {
-                    items[start..end]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, t)| f(start + i, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("sudc-par worker panicked"));
+    let f = &f;
+    let parts = in_order(bounds.into_iter().map(|(start, end)| {
+        move || {
+            items[start..end]
+                .iter()
+                .enumerate()
+                .map(|(i, t)| f(start + i, t))
+                .collect::<Vec<R>>()
         }
-    });
-    out
+    }));
+    parts.into_iter().flatten().collect()
+}
+
+/// Runs every job on a scoped thread of its own and returns the results
+/// in job order.
+fn in_order<R: Send>(jobs: impl Iterator<Item = impl FnOnce() -> R + Send>) -> Vec<R> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sudc-par worker panicked"))
+            .collect()
+    })
+}
+
+/// Calls `f(chunk_index, chunk)` on every `chunk`-sized piece of `out`
+/// (the last piece may be shorter), on `workers` threads, and returns the
+/// results in chunk order.
+///
+/// This is the in-place counterpart of [`par_map_threads`]: each worker
+/// gets a contiguous run of whole chunks through `split_at_mut`, so `f`
+/// writes its output straight into `out` and nothing is merged
+/// afterwards. Chunk `i` is always `out[i * chunk..]` cut to at most
+/// `chunk` elements, and `f` sees the global chunk index, so the result
+/// is the serial `out.chunks_mut(chunk)` loop at every thread count. With
+/// `workers <= 1` (or one chunk) the loop runs inline on the caller's
+/// thread.
+///
+/// # Panics
+///
+/// Panics if `chunk` is zero, like [`slice::chunks_mut`].
+pub fn par_chunks_mut_threads<T, R, F>(workers: usize, out: &mut [T], chunk: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    assert!(chunk > 0, "chunk size must be positive");
+    let bounds = chunk_bounds(out.len().div_ceil(chunk), workers);
+    if bounds.len() <= 1 {
+        return out
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(i, c)| f(i, c))
+            .collect();
+    }
+    let (f, mut rest) = (&f, out);
+    let parts = in_order(bounds.into_iter().map(|(start, end)| {
+        let len = ((end - start) * chunk).min(rest.len());
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        move || {
+            run.chunks_mut(chunk)
+                .enumerate()
+                .map(|(i, c)| f(start + i, c))
+                .collect::<Vec<R>>()
+        }
+    }));
+    parts.into_iter().flatten().collect()
+}
+
+/// [`par_chunks_mut_threads`] with the ambient thread count ([`threads`]).
+///
+/// # Panics
+///
+/// Panics if `chunk` is zero.
+pub fn par_chunks_mut<T, R, F>(out: &mut [T], chunk: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    par_chunks_mut_threads(threads(), out, chunk, f)
 }
 
 /// [`par_map_threads`] with the ambient thread count ([`threads`]).
@@ -299,24 +364,15 @@ where
             .enumerate()
             .fold(init(), |acc, (i, t)| fold(acc, i, t));
     }
-    let mut accs = Vec::with_capacity(bounds.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(start, end)| {
-                let (init, fold) = (&init, &fold);
-                scope.spawn(move || {
-                    items[start..end]
-                        .iter()
-                        .enumerate()
-                        .fold(init(), |acc, (i, t)| fold(acc, start + i, t))
-                })
-            })
-            .collect();
-        for handle in handles {
-            accs.push(handle.join().expect("sudc-par worker panicked"));
+    let (init, fold) = (&init, &fold);
+    let accs = in_order(bounds.into_iter().map(|(start, end)| {
+        move || {
+            items[start..end]
+                .iter()
+                .enumerate()
+                .fold(init(), |acc, (i, t)| fold(acc, start + i, t))
         }
-    });
+    }));
     accs.into_iter().reduce(merge).unwrap_or_else(init)
 }
 
@@ -480,6 +536,12 @@ mod tests {
             }
             set_threads(0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk size must be positive")]
+    fn par_chunks_mut_refuses_a_zero_chunk() {
+        let _ = par_chunks_mut_threads(2, &mut [0u8; 4], 0, |_, _| ());
     }
 
     #[test]

@@ -6,7 +6,32 @@
 //! equivalent exactly, at every thread count.
 
 use proptest::prelude::*;
-use sudc_par::{par_map_threads, par_max_by, par_reduce_threads, set_threads};
+use sudc_par::{
+    par_chunks_mut_threads, par_map_threads, par_max_by, par_reduce_threads, set_threads,
+};
+
+/// Adds `global index + 1` to every element of each chunk and returns
+/// `(chunk index, chunk length)`: an element written twice, or skipped,
+/// ends up with the wrong value.
+fn stamp(chunk: usize) -> impl Fn(usize, &mut [u64]) -> (usize, usize) + Sync {
+    move |i, c| {
+        for (k, x) in c.iter_mut().enumerate() {
+            *x += (i * chunk + k) as u64 + 1;
+        }
+        (i, c.len())
+    }
+}
+
+/// The serial form of [`stamp`] over `len` zeroed elements.
+fn stamp_serial(len: usize, chunk: usize) -> (Vec<u64>, Vec<(usize, usize)>) {
+    let mut out = vec![0; len];
+    let results = out
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(i, c)| stamp(chunk)(i, c))
+        .collect();
+    (out, results)
+}
 
 proptest! {
     #[test]
@@ -89,5 +114,47 @@ proptest! {
                 _ => best,
             });
         prop_assert_eq!(max, serial_max);
+    }
+
+    #[test]
+    fn par_chunks_mut_on_empty_input_calls_nothing(
+        workers in 1usize..16,
+        chunk in 1usize..64,
+    ) {
+        let mut out: Vec<u64> = Vec::new();
+        let results = par_chunks_mut_threads(workers, &mut out, chunk, |_, _| -> () {
+            panic!("no chunk to visit")
+        });
+        prop_assert!(results.is_empty());
+    }
+
+    #[test]
+    fn par_chunks_mut_with_chunk_past_the_end_is_one_call(
+        workers in 1usize..16,
+        len in 1usize..64,
+        extra in 1usize..64,
+    ) {
+        let mut out = vec![0u64; len];
+        let results = par_chunks_mut_threads(workers, &mut out, len + extra, stamp(len + extra));
+        prop_assert_eq!(results, vec![(0, len)]);
+        prop_assert_eq!(out, (1..=len as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_chunks_mut_matches_the_serial_chunk_loop(
+        workers in 1usize..=16,
+        len in 0usize..300,
+        chunk in 1usize..40,
+    ) {
+        // Covers chunks that do not divide the length (a short last
+        // chunk), results in chunk order, and every element written
+        // exactly once, at 1 to 16 workers.
+        let mut out = vec![0u64; len];
+        let results = par_chunks_mut_threads(workers, &mut out, chunk, stamp(chunk));
+        let (serial_out, serial_results) = stamp_serial(len, chunk);
+        prop_assert_eq!(results.len(), len.div_ceil(chunk));
+        prop_assert_eq!(&out, &(1..=len as u64).collect::<Vec<_>>());
+        prop_assert_eq!(out, serial_out);
+        prop_assert_eq!(results, serial_results);
     }
 }

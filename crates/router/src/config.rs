@@ -131,7 +131,9 @@ pub struct RouterConfig {
     /// for its fresh capacity budget (one re-entry per request; a second
     /// deferral is final). Routing then runs blocks sequentially instead
     /// of sharding them across workers, since block `b+1`'s input depends
-    /// on block `b`'s verdicts.
+    /// on block `b`'s verdicts. Carried work is the oldest in the queue,
+    /// so it is shed first: with `queue_capacity <= block` a full block
+    /// sheds all of it.
     pub readmit_deferred: bool,
     /// Per-block SµDC compute-pool fractions from the health plane's
     /// degraded-mode accounting (`sudc_health::PoolTimeline`): block `b`

@@ -1,23 +1,28 @@
 //! The batch placement engine.
 //!
-//! [`Router::route_stream`] shards the stream's blocks across workers
-//! with [`sudc_par::par_map`] — each block is generated, admitted, and
-//! scored independently, and the per-block outputs are merged left to
-//! right, so the decision vector is byte-identical at any thread count.
+//! One block body, `Router::route_block`, generates a block, admits it
+//! with [`admit`], scores the survivors and emits each decision once
+//! through a sink. Two stream loops call it:
 //!
-//! Inside a block the hot path is allocation-free: requests drain from
-//! the preallocated [`AdmissionQueue`](crate::AdmissionQueue) into
-//! structure-of-arrays columns, and each decision is four table lookups
-//! (one per tier) plus a handful of multiply-adds against the memoized
-//! [`TierTerms`](crate::config::TierTerms).
-
-use std::collections::HashSet;
+//! - [`Router::route_stream`] shards the blocks across workers with
+//!   [`sudc_par::par_chunks_mut`]: each block writes its decisions in
+//!   place into its own `block`-sized chunk of the final decision vector,
+//!   and the per-block stats merge in block order, so the outcome is
+//!   byte-identical at any thread count;
+//! - with `readmit_deferred` set, a sequential loop appends every
+//!   block's decisions to one output, because a block's first deferrals
+//!   carry into the next block's admission.
+//!
+//! Inside a block the scoring loop reads each request through the
+//! drain-order index — no queue, no column copy — and each decision is
+//! four table lookups (one per tier) plus a handful of multiply-adds
+//! against the memoized [`TierTerms`](crate::config::TierTerms).
 
 use sudc_errors::SudcError;
-use sudc_par::par_map;
+use sudc_par::par_chunks_mut;
 
 use crate::config::{RouterConfig, APPS};
-use crate::request::{Priority, Request, StreamConfig};
+use crate::request::{admit, Priority, Request, StreamConfig};
 use crate::tier::Tier;
 
 /// Outcome of one request.
@@ -47,6 +52,18 @@ pub struct Decision {
     pub latency_s: f64,
     /// Modeled cost of the chosen tier, USD; zero unless placed.
     pub cost_usd: f64,
+}
+
+impl Decision {
+    /// The decision for a request dropped at admission.
+    fn shed(id: u64) -> Self {
+        Self {
+            id,
+            verdict: Verdict::Shed,
+            latency_s: 0.0,
+            cost_usd: 0.0,
+        }
+    }
 }
 
 /// Aggregated counters over a routed stream. Mergeable, so per-block
@@ -178,35 +195,17 @@ impl RoutingStats {
 /// A routed stream: every decision in stream order, plus aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingOutcome {
-    /// One decision per generated request. Within a block, admission-shed
-    /// victims appear first (at the moment of shedding), then the queue
-    /// drains in priority order; blocks are concatenated in stream order.
+    /// One decision per generated request, blocks in stream order.
+    /// Within a block come first the requests its admission queue shed,
+    /// oldest first, then the survivors in drain order (urgent, standard,
+    /// bulk; FIFO within a class). Without readmission, block `b` fills
+    /// `decisions[b * block..]` exactly. With it, a carried request is
+    /// decided in the block that admits it, a first deferral leaves no
+    /// decision in its own block, and the work still carried when the
+    /// stream ends closes the vector as `Deferred`.
     pub decisions: Vec<Decision>,
     /// Aggregates over the whole stream.
     pub stats: RoutingStats,
-}
-
-/// Structure-of-arrays columns one block is scored from.
-struct Columns {
-    ids: Vec<u64>,
-    app: Vec<u8>,
-    priority: Vec<u8>,
-    lat_bin: Vec<u16>,
-    size_gbit: Vec<f64>,
-    deadline_s: Vec<f64>,
-}
-
-impl Columns {
-    fn with_capacity(n: usize) -> Self {
-        Self {
-            ids: Vec::with_capacity(n),
-            app: Vec::with_capacity(n),
-            priority: Vec::with_capacity(n),
-            lat_bin: Vec::with_capacity(n),
-            size_gbit: Vec::with_capacity(n),
-            deadline_s: Vec::with_capacity(n),
-        }
-    }
 }
 
 /// The placement engine: a validated [`RouterConfig`] plus the scoring
@@ -269,34 +268,46 @@ impl Router {
         if self.cfg.readmit_deferred {
             return self.route_stream_readmit(stream);
         }
-        let blocks: Vec<u64> = (0..stream.blocks()).collect();
-        let per_block = par_map(&blocks, |_, &b| self.route_block(stream, b, &[], None));
-        let mut decisions = Vec::with_capacity(stream.requests as usize);
+        let mut decisions = vec![Decision::shed(0); stream.requests as usize];
+        let per_block = par_chunks_mut(&mut decisions, stream.block, |b, chunk| {
+            let mut filled = 0;
+            let stats = self.route_block(stream, b as u64, &[], None, &mut |d| {
+                chunk[filled] = d;
+                filled += 1;
+            });
+            assert_eq!(filled, chunk.len(), "block {b} must fill its chunk");
+            stats
+        });
         let mut stats = RoutingStats::zero();
-        for (block_decisions, block_stats) in per_block {
-            decisions.extend_from_slice(&block_decisions);
-            stats.merge(&block_stats);
+        for block_stats in &per_block {
+            stats.merge(block_stats);
         }
         RoutingOutcome { decisions, stats }
     }
 
     /// Sequential routing with deferral re-entry: each block's first-time
-    /// deferrals carry into the next block's admission queue, ahead of
-    /// that block's own arrivals (they are the oldest work), and compete
-    /// for the next block's capacity budget. A carried request that is
+    /// deferrals carry into the next block's admission, ahead of that
+    /// block's own arrivals (they are the oldest work), and compete for
+    /// the next block's capacity budget. A carried request that is
     /// deferred again takes its `Deferred` verdict for good; whatever is
     /// still carried when the stream ends is flushed as `Deferred`.
+    ///
+    /// Because carried work is the oldest, a block whose arrivals alone
+    /// fill the queue (`queue_capacity <= block`) sheds every carried
+    /// request: re-entry places carried work only when the queue has room
+    /// for it, or in a short last block.
     fn route_stream_readmit(&self, stream: &StreamConfig) -> RoutingOutcome {
         let mut decisions = Vec::with_capacity(stream.requests as usize);
         let mut stats = RoutingStats::zero();
         let mut carry: Vec<(Request, f64)> = Vec::new();
+        let mut next = Vec::new();
         for b in 0..stream.blocks() {
-            let mut next = Vec::new();
-            let (block_decisions, block_stats) =
-                self.route_block(stream, b, &carry, Some(&mut next));
-            decisions.extend_from_slice(&block_decisions);
+            let block_stats = self.route_block(stream, b, &carry, Some(&mut next), &mut |d| {
+                decisions.push(d)
+            });
             stats.merge(&block_stats);
-            carry = next;
+            std::mem::swap(&mut carry, &mut next);
+            next.clear();
         }
         for (r, reachable_latency) in carry {
             stats.deferred += 1;
@@ -326,74 +337,50 @@ impl Router {
         }
     }
 
-    /// Generates, admits, and scores one block. `carry` holds previous
-    /// blocks' deferrals re-entering here (with the reachable latency
-    /// recorded at deferral); when `next_carry` is set, this block's
-    /// first-time deferrals are pushed there instead of deciding.
+    /// Generates, admits, and scores one block, passing each decision to
+    /// `emit` once: the shed requests oldest first, then the survivors in
+    /// drain order. `carry` holds previous blocks' deferrals re-entering
+    /// here (with the reachable latency recorded at deferral); they are
+    /// pushed ahead of the arrivals, so push index `i` is carried exactly
+    /// when `i < carry.len()`. When `next_carry` is set, this block's
+    /// first-time deferrals are pushed there instead of decided.
     fn route_block(
         &self,
         stream: &StreamConfig,
         b: u64,
         carry: &[(Request, f64)],
         mut next_carry: Option<&mut Vec<(Request, f64)>>,
-    ) -> (Vec<Decision>, RoutingStats) {
-        let requests = stream.generate_block(b);
+        emit: &mut impl FnMut(Decision),
+    ) -> RoutingStats {
+        let arrivals = stream.generate_block(b);
         let mut stats = RoutingStats::zero();
-        stats.requests = requests.len() as u64;
-        let mut decisions = Vec::with_capacity(requests.len() + carry.len());
-        let carried_ids: HashSet<u64> = carry.iter().map(|(r, _)| r.id).collect();
-
-        // Admission: bounded queue, shed victims decided immediately.
-        // Carried deferrals enter first — they are the oldest work, and
-        // their origin block already counted them in `requests` and
-        // `priority_total`, so only their final verdict lands here.
-        let mut queue = crate::request::AdmissionQueue::new(stream.queue_capacity);
-        for (r, _) in carry {
-            if let Some(victim) = queue.push(*r) {
-                stats.shed += 1;
-                decisions.push(Decision {
-                    id: victim.id,
-                    verdict: Verdict::Shed,
-                    latency_s: 0.0,
-                    cost_usd: 0.0,
-                });
-            }
-        }
-        for r in &requests {
+        stats.requests = arrivals.len() as u64;
+        // Carried requests' origin block already counted them in
+        // `requests` and `priority_total`; only their final verdict
+        // lands here.
+        for r in &arrivals {
             stats.priority_total[r.priority.index()] += 1;
-            if let Some(victim) = queue.push(*r) {
-                stats.shed += 1;
-                decisions.push(Decision {
-                    id: victim.id,
-                    verdict: Verdict::Shed,
-                    latency_s: 0.0,
-                    cost_usd: 0.0,
-                });
-            }
         }
+        let request = |i: usize| match i.checked_sub(carry.len()) {
+            None => &carry[i].0,
+            Some(j) => &arrivals[j],
+        };
 
-        // Drain to SoA columns in scheduling (priority) order. The full
-        // requests are kept alongside only when deferrals may re-enter.
-        let keep_requests = next_carry.is_some();
-        let mut drained: Vec<Request> = Vec::new();
-        let mut cols = Columns::with_capacity(queue.len());
-        while let Some(r) = queue.pop() {
-            if keep_requests {
-                drained.push(r);
-            }
-            cols.ids.push(r.id);
-            cols.app.push(r.app);
-            cols.priority.push(r.priority.index() as u8);
-            cols.lat_bin.push(RouterConfig::lat_bin(r.lat_deg) as u16);
-            cols.size_gbit.push(r.size_gbit * self.cfg.image_gbit);
-            cols.deadline_s.push(r.deadline_s);
+        // Admission: the queue's oldest overflow is shed, and decided first.
+        let priorities: Vec<Priority> = (0..carry.len() + arrivals.len())
+            .map(|i| request(i).priority)
+            .collect();
+        let (shed, order) = admit(&priorities, stream.queue_capacity);
+        stats.shed = shed as u64;
+        for i in 0..shed {
+            emit(Decision::shed(request(i).id));
         }
 
         // The block's time-span earns a share of each bottleneck's
         // sustained rate: the ground segment's drain rate (shared by the
         // edge and cloud tiers, which ride the same downlink) and the
         // SµDC's compute-ingest rate.
-        let span_s = requests.len() as f64 / stream.arrival_per_s;
+        let span_s = arrivals.len() as f64 / stream.arrival_per_s;
         let mut ground_budget = self.cfg.ground_capacity_gbit_per_s * span_s;
         // The health plane's observed pool shrinks this block's compute
         // ingest: a degraded SµDC keeps its ground capacity but can
@@ -402,19 +389,20 @@ impl Router {
             self.cfg.sudc_capacity_gbit_per_s * span_s * self.cfg.pool_fraction(b);
         stats.ground_budget_gbit = ground_budget;
 
-        // Batch scoring: four memoized tier evaluations per request.
-        let n = cols.ids.len();
-        #[allow(clippy::needless_range_loop)] // i spans the SoA columns, not just `drained`
-        for i in 0..n {
-            let terms = &self.cfg.terms[cols.app[i] as usize];
-            let wait = self.cfg.lat_wait_s[cols.lat_bin[i] as usize];
-            let size = cols.size_gbit[i];
-            let deadline = cols.deadline_s[i];
+        // Batch scoring in drain order: four memoized tier evaluations
+        // per request.
+        for i in order {
+            let r = request(i);
+            let terms = &self.cfg.terms[r.app as usize];
+            let wait = self.cfg.lat_wait_s[RouterConfig::lat_bin(r.lat_deg)];
+            let size = r.size_gbit * self.cfg.image_gbit;
+            let deadline = r.deadline_s;
 
-            let mut best: Option<(f64, f64, usize)> = None; // (cost, latency, tier)
-                                                            // Best latency among tiers that could still *hold* the
-                                                            // request (capacity and size allow), deadline aside — the
-                                                            // defer-vs-reject signal.
+            // The cheapest feasible tier as (cost, latency, tier), and the
+            // best latency among tiers that could still *hold* the request
+            // (capacity and size allow), deadline aside — the
+            // defer-vs-reject signal.
+            let mut best: Option<(f64, f64, usize)> = None;
             let mut reachable_latency = f64::INFINITY;
             for (t, term) in terms.iter().enumerate() {
                 let open = match Tier::from_index(t) {
@@ -455,12 +443,12 @@ impl Router {
                     }
                     stats.placed += 1;
                     stats.tier_counts[t] += 1;
-                    stats.app_tier[cols.app[i] as usize][t] += 1;
-                    stats.priority_placed[cols.priority[i] as usize] += 1;
+                    stats.app_tier[r.app as usize][t] += 1;
+                    stats.priority_placed[r.priority.index()] += 1;
                     stats.latency_sum_s += latency;
                     stats.cost_sum_usd += cost;
                     Decision {
-                        id: cols.ids[i],
+                        id: r.id,
                         verdict: Verdict::Placed(tier),
                         latency_s: latency,
                         cost_usd: cost,
@@ -470,15 +458,15 @@ impl Router {
                     // First deferral with re-entry armed: no verdict yet —
                     // the request rides into the next block's window. A
                     // carried request deferring again is decided for good.
-                    if !carried_ids.contains(&cols.ids[i]) {
+                    if i >= carry.len() {
                         if let Some(out) = next_carry.as_mut() {
-                            out.push((drained[i], reachable_latency));
+                            out.push((*r, reachable_latency));
                             continue;
                         }
                     }
                     stats.deferred += 1;
                     Decision {
-                        id: cols.ids[i],
+                        id: r.id,
                         verdict: Verdict::Deferred,
                         latency_s: reachable_latency,
                         cost_usd: 0.0,
@@ -487,17 +475,17 @@ impl Router {
                 None => {
                     stats.rejected += 1;
                     Decision {
-                        id: cols.ids[i],
+                        id: r.id,
                         verdict: Verdict::Rejected,
                         latency_s: reachable_latency,
                         cost_usd: 0.0,
                     }
                 }
             };
-            decisions.push(decision);
+            emit(decision);
         }
 
-        (decisions, stats)
+        stats
     }
 }
 
@@ -598,7 +586,12 @@ mod tests {
         // Same pricing tables, same per-block capacity budgets, same
         // stream — the only change is that a first deferral re-enters
         // the next block's window instead of bouncing straight back to
-        // the requester.
+        // the requester. With the queue sized to the block, carried work
+        // enters first and is the oldest, so every full block sheds all
+        // of it. The whole lift (5183 -> 5217 placed) comes from the last
+        // two blocks: the short last block places part of the carry from
+        // the block before it. See
+        // `interior_blocks_gain_from_reentry_only_with_queue_room`.
         let baseline = Router::reference();
         let mut cfg = RouterConfig::reference();
         cfg.readmit_deferred = true;
@@ -634,6 +627,32 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), stream.requests as usize);
+    }
+
+    #[test]
+    fn interior_blocks_gain_from_reentry_only_with_queue_room() {
+        // Placements of requests that originate outside the last two
+        // blocks: readmission leaves them unchanged while the queue
+        // holds just one block (every full block sheds its carry-in), and
+        // raises them once the queue has room for carried work.
+        fn interior_placed(readmit: bool, queue_capacity: usize) -> u64 {
+            let mut cfg = RouterConfig::reference();
+            cfg.readmit_deferred = readmit;
+            let mut stream = small_stream();
+            stream.arrival_per_s = 1.4 * 30.0;
+            stream.queue_capacity = queue_capacity;
+            let interior = (stream.blocks() - 2) * stream.block as u64;
+            let out = Router::new(cfg).route_stream(&stream);
+            out.decisions
+                .iter()
+                .filter(|d| d.id < interior && matches!(d.verdict, Verdict::Placed(_)))
+                .count() as u64
+        }
+        let block = small_stream().block;
+        assert_eq!(interior_placed(false, block), 4286);
+        assert_eq!(interior_placed(true, block), 4286);
+        assert_eq!(interior_placed(false, 2 * block), 4286);
+        assert_eq!(interior_placed(true, 2 * block), 4613);
     }
 
     #[test]

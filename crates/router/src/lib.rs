@@ -18,9 +18,11 @@
 //! capacity, the SSCM-based TCO amortized per insight — and memoizes
 //! them into per-`(app, tier)` coefficient tables. The engine
 //! ([`Router::route_stream`]) then scores millions of requests per
-//! second: each decision is four table lookups and a few multiply-adds,
-//! blocks shard across threads via `sudc-par`, and the output is
-//! byte-identical at any `--jobs` count.
+//! second: each block is admitted as a pure partition ([`admit`]: shed
+//! the oldest overflow, drain the rest by priority class), each decision
+//! is four table lookups and a few multiply-adds, blocks shard across
+//! threads via `sudc-par` and write their decisions in place, and the
+//! output is byte-identical at any `--jobs` count.
 //!
 //! [`RoutedLoad`] closes the loop by replaying the accepted placements
 //! through the `sudc-sim` operations simulator (optionally under a
@@ -52,6 +54,6 @@ pub mod tier;
 pub use config::{RouterConfig, TierTerms, APPS, LAT_BINS};
 pub use engine::{Decision, Router, RoutingOutcome, RoutingStats, Verdict};
 pub use replay::{ReplayReport, RoutedLoad};
-pub use request::{AdmissionQueue, Priority, Request, StreamConfig};
+pub use request::{admit, Priority, Request, StreamConfig};
 pub use sudc_errors::{Diagnostics, SudcError, Violation};
 pub use tier::Tier;

@@ -1,11 +1,11 @@
-//! The synthetic tasking stream and the bounded admission queue.
+//! The synthetic tasking stream and block admission.
 //!
 //! Requests are generated as a pure function of `(seed, block index)`
 //! through [`sudc_par::rng::Rng64::stream`], so any block can be
 //! materialized independently on any worker thread and the stream is
-//! bit-identical at every `--jobs` count.
-
-use std::collections::VecDeque;
+//! bit-identical at every `--jobs` count. [`admit`] then partitions a
+//! block into the requests its bounded queue sheds and the order the
+//! rest drain in.
 
 use sudc_errors::{Diagnostics, SudcError};
 use sudc_par::rng::Rng64;
@@ -81,8 +81,9 @@ pub struct StreamConfig {
     /// Requests per generation block (the admission-queue and scoring
     /// granularity; also the `sudc-par` sharding unit).
     pub block: usize,
-    /// Admission-queue capacity per block; when a block's arrivals exceed
-    /// it, the globally oldest queued request is shed.
+    /// Admission-queue capacity per block; when a block's carried work
+    /// plus arrivals exceed it, the oldest of them are shed (see
+    /// [`admit`]).
     pub queue_capacity: usize,
     /// Modeled arrival rate of the tasking stream, requests/second. Sets
     /// how much ground-segment downlink budget each block's time-span
@@ -178,143 +179,63 @@ fn draw_request(rng: &mut Rng64, id: u64) -> Request {
     }
 }
 
-/// A bounded, priority-classed admission queue.
+/// Admits one block: the bounded, priority-classed admission queue as a
+/// pure partition of the requests pushed into it.
 ///
-/// - [`push`](AdmissionQueue::push) enqueues at the back of the request's
-///   class; when the queue is full, the **globally oldest** queued
-///   request (smallest admission sequence across all classes) is shed to
-///   make room and returned to the caller.
-/// - [`pop`](AdmissionQueue::pop) drains the highest class first
-///   (`Urgent` before `Standard` before `Bulk`), FIFO within a class.
+/// `priorities` lists the block's requests in push order (carried work
+/// first, then arrivals). Every request is pushed before any is popped,
+/// so a queue of `capacity` slots that sheds its globally oldest entry
+/// on overflow reduces to two rules:
 ///
-/// All storage is preallocated at construction; steady-state operation
-/// never allocates.
-#[derive(Debug, Clone)]
-pub struct AdmissionQueue {
-    classes: [VecDeque<(u64, Request)>; Priority::COUNT],
-    capacity: usize,
-    len: usize,
-    next_seq: u64,
-    shed: u64,
-}
-
-impl AdmissionQueue {
-    /// A queue holding at most `capacity` requests across all classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "admission queue needs capacity");
-        Self {
-            classes: core::array::from_fn(|_| VecDeque::with_capacity(capacity)),
-            capacity,
-            len: 0,
-            next_seq: 0,
-            shed: 0,
-        }
+/// - the oldest `max(0, len - capacity)` requests are shed, in push
+///   order — that count is the first value returned, and the shed
+///   requests are push indices `0..shed`;
+/// - the survivors drain stably by class, `Urgent` before `Standard`
+///   before `Bulk`, FIFO within a class — the second value lists their
+///   push indices in that order.
+///
+/// `tests/router_model.rs` holds this to a flat-scan queue model.
+#[must_use]
+pub fn admit(priorities: &[Priority], capacity: usize) -> (usize, Vec<usize>) {
+    let shed = priorities.len().saturating_sub(capacity);
+    let survivors = &priorities[shed..];
+    // Counting sort: each class starts where the classes ahead of it end.
+    let mut next = [0usize; Priority::COUNT];
+    for p in survivors {
+        next[p.index()] += 1;
     }
-
-    /// Enqueues `r`; if the queue was full, returns the shed victim (the
-    /// globally oldest queued request).
-    pub fn push(&mut self, r: Request) -> Option<Request> {
-        let victim = if self.len == self.capacity {
-            let oldest = self
-                .classes
-                .iter()
-                .enumerate()
-                .filter_map(|(c, q)| q.front().map(|&(seq, _)| (seq, c)))
-                .min()
-                .map(|(_, c)| c)
-                .expect("full queue has a non-empty class");
-            self.len -= 1;
-            self.shed += 1;
-            self.classes[oldest].pop_front().map(|(_, req)| req)
-        } else {
-            None
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.classes[r.priority.index()].push_back((seq, r));
-        self.len += 1;
-        victim
+    let mut start = 0;
+    for slot in &mut next {
+        (*slot, start) = (start, start + *slot);
     }
-
-    /// Dequeues the next request: highest class first, FIFO within.
-    pub fn pop(&mut self) -> Option<Request> {
-        for q in &mut self.classes {
-            if let Some((_, r)) = q.pop_front() {
-                self.len -= 1;
-                return Some(r);
-            }
-        }
-        None
+    let mut order = vec![0; survivors.len()];
+    for (i, p) in survivors.iter().enumerate() {
+        order[next[p.index()]] = shed + i;
+        next[p.index()] += 1;
     }
-
-    /// Requests currently queued.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum queue occupancy.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Requests shed since construction.
-    #[must_use]
-    pub fn shed_count(&self) -> u64 {
-        self.shed
-    }
+    (shed, order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn req(id: u64, priority: Priority) -> Request {
-        Request {
-            id,
-            lat_deg: 0.0,
-            lon_deg: 0.0,
-            app: 0,
-            size_gbit: 1.0,
-            deadline_s: 100.0,
-            priority,
-        }
+    #[test]
+    fn drains_by_class_then_fifo() {
+        use Priority::{Bulk, Standard, Urgent};
+        assert_eq!(
+            admit(&[Bulk, Urgent, Standard, Urgent], 8),
+            (0, vec![1, 3, 2, 0])
+        );
     }
 
     #[test]
-    fn pops_by_class_then_fifo() {
-        let mut q = AdmissionQueue::new(8);
-        q.push(req(0, Priority::Bulk));
-        q.push(req(1, Priority::Urgent));
-        q.push(req(2, Priority::Standard));
-        q.push(req(3, Priority::Urgent));
-        let order: Vec<u64> = core::iter::from_fn(|| q.pop()).map(|r| r.id).collect();
-        assert_eq!(order, vec![1, 3, 2, 0]);
-    }
-
-    #[test]
-    fn full_queue_sheds_globally_oldest() {
-        let mut q = AdmissionQueue::new(2);
-        assert!(q.push(req(0, Priority::Urgent)).is_none());
-        assert!(q.push(req(1, Priority::Bulk)).is_none());
-        // Request 0 entered first; it is the global oldest even though it
-        // has the highest priority.
-        let victim = q.push(req(2, Priority::Standard)).expect("shed");
-        assert_eq!(victim.id, 0);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.shed_count(), 1);
+    fn overflow_sheds_the_oldest_whatever_their_class() {
+        use Priority::{Bulk, Standard, Urgent};
+        // Request 0 entered first; it is the oldest even though it has
+        // the highest priority.
+        assert_eq!(admit(&[Urgent, Bulk, Standard], 2), (1, vec![2, 1]));
+        assert_eq!(admit(&[Urgent, Bulk], 0), (2, vec![]));
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Property tests holding the router's [`AdmissionQueue`] to a
-//! brute-force reference model.
+//! Property tests holding the router's block admission ([`admit`]) to a
+//! brute-force reference queue.
 //!
-//! The queue contract the placement engine relies on:
+//! The engine pushes a block's whole carry, then all of its arrivals,
+//! into a bounded priority-classed queue before it pops anything. The
+//! queue contract it relies on:
 //!
 //! - pops drain the highest priority class first, FIFO within a class;
 //! - occupancy never exceeds the configured capacity;
@@ -11,27 +13,13 @@
 //!   back exactly once, as a pop or as a shed victim.
 //!
 //! The reference model is a flat `Vec` scanned per operation: obviously
-//! correct, never fast. Random interleavings of pushes and pops must be
-//! observationally indistinguishable between the two, request for
-//! request, at every step.
-
-use std::collections::HashSet;
+//! correct, never fast. Pushing everything into it and then draining it
+//! must give exactly the shed prefix and the drain order `admit`
+//! computes, at capacities below, at and above the block length.
 
 use proptest::collection;
 use proptest::prelude::*;
-use space_udc::router::{AdmissionQueue, Priority, Request};
-
-fn req(id: u64, priority: Priority) -> Request {
-    Request {
-        id,
-        lat_deg: 0.0,
-        lon_deg: 0.0,
-        app: 0,
-        size_gbit: 1.0,
-        deadline_s: 600.0,
-        priority,
-    }
-}
+use space_udc::router::{admit, Priority};
 
 /// Brute-force queue: a flat list of `(admission sequence, id, class)`
 /// scanned linearly for every decision.
@@ -39,7 +27,6 @@ struct ModelQueue {
     entries: Vec<(u64, u64, Priority)>,
     capacity: usize,
     next_seq: u64,
-    shed: u64,
 }
 
 impl ModelQueue {
@@ -48,7 +35,6 @@ impl ModelQueue {
             entries: Vec::new(),
             capacity,
             next_seq: 0,
-            shed: 0,
         }
     }
 
@@ -63,13 +49,16 @@ impl ModelQueue {
                 .min_by_key(|(_, &(seq, _, _))| seq)
                 .map(|(i, _)| i)
                 .expect("full queue is non-empty");
-            self.shed += 1;
             Some(self.entries.remove(oldest).1)
         } else {
             None
         };
         self.entries.push((self.next_seq, id, priority));
         self.next_seq += 1;
+        assert!(
+            self.entries.len() <= self.capacity,
+            "occupancy above capacity"
+        );
         victim
     }
 
@@ -83,75 +72,56 @@ impl ModelQueue {
             .map(|(i, _)| i)?;
         Some(self.entries.remove(best).1)
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
-/// Replays one random op sequence against the real queue and the model,
-/// asserting identical observable behavior after every operation. Each
-/// `u64` word encodes one operation: `0..=1` pops, anything else pushes
-/// with a class drawn from the next bits.
-fn replay(words: &[u64], capacity: usize) -> Result<(), TestCaseError> {
-    let mut q = AdmissionQueue::new(capacity);
+/// Pushes every request (ids are push indices) into the model, then
+/// drains it: returns the shed victims in shedding order and the drained
+/// ids in pop order.
+fn model_admission(priorities: &[Priority], capacity: usize) -> (Vec<usize>, Vec<usize>) {
     let mut model = ModelQueue::new(capacity);
-    let mut next_id = 0u64;
-    let mut pushed = 0u64;
-    let mut returned = HashSet::new();
-    for &w in words {
-        match w % 8 {
-            0 | 1 => {
-                let got = q.pop().map(|r| r.id);
-                prop_assert_eq!(got, model.pop());
-                if let Some(id) = got {
-                    prop_assert!(returned.insert(id), "request {} popped twice", id);
-                }
-            }
-            _ => {
-                let priority = Priority::ALL[((w >> 3) % 3) as usize];
-                let victim = q.push(req(next_id, priority)).map(|r| r.id);
-                prop_assert_eq!(victim, model.push(next_id, priority));
-                if let Some(id) = victim {
-                    prop_assert!(returned.insert(id), "request {} shed twice", id);
-                }
-                next_id += 1;
-                pushed += 1;
-            }
-        }
-        prop_assert_eq!(q.len(), model.len());
-        prop_assert!(q.len() <= capacity, "occupancy above capacity");
-        prop_assert_eq!(q.is_empty(), model.len() == 0);
-        prop_assert_eq!(q.shed_count(), model.shed);
-    }
-    // Drain what survives the interleaving: full global order check, and
-    // the conservation ledger must balance — every pushed id came back
-    // exactly once (pop or shed), no inventions.
-    loop {
-        let got = q.pop().map(|r| r.id);
-        prop_assert_eq!(got, model.pop());
-        match got {
-            Some(id) => {
-                prop_assert!(returned.insert(id), "request {} popped twice", id);
-            }
-            None => break,
-        }
-    }
-    prop_assert!(q.is_empty());
-    prop_assert_eq!(returned.len() as u64, pushed);
-    prop_assert!(returned.iter().all(|&id| id < next_id));
-    Ok(())
+    let shed = priorities
+        .iter()
+        .enumerate()
+        .filter_map(|(id, &p)| model.push(id as u64, p))
+        .map(|id| id as usize)
+        .collect();
+    let drained = core::iter::from_fn(|| model.pop())
+        .map(|id| id as usize)
+        .collect();
+    (shed, drained)
+}
+
+fn classes(raw: &[usize]) -> Vec<Priority> {
+    raw.iter().map(|&c| Priority::ALL[c]).collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn queue_is_indistinguishable_from_the_flat_scan_model(
-        words in collection::vec(0u64..u64::MAX, 1..400),
-        capacity in 1usize..12,
+        carry in collection::vec(0usize..3, 0..24),
+        arrivals in collection::vec(0usize..3, 0..48),
+        room in 0usize..3,
+        slack in 0usize..32,
     ) {
-        replay(&words, capacity)?;
+        // Carry first, then arrivals, as the engine pushes them; the
+        // capacity lands below, at or above the block length.
+        let pushed = classes(&[carry, arrivals].concat());
+        let capacity = match room {
+            0 => pushed.len().saturating_sub(slack + 1).max(1),
+            1 => pushed.len().max(1),
+            _ => pushed.len() + slack + 1,
+        };
+        let (shed, order) = admit(&pushed, capacity);
+        let (model_shed, model_order) = model_admission(&pushed, capacity);
+        prop_assert_eq!(shed, pushed.len().saturating_sub(capacity));
+        prop_assert_eq!(&(0..shed).collect::<Vec<_>>(), &model_shed);
+        prop_assert_eq!(&order, &model_order);
+        // Conservation: every push index comes back exactly once.
+        let mut seen: Vec<usize> = model_shed.into_iter().chain(order).collect();
+        seen.sort_unstable();
+        prop_assert_eq!(seen, (0..pushed.len()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -161,13 +131,8 @@ proptest! {
     ) {
         // FIFO within one class in isolation: a pure burst must come
         // back in exactly the order it went in.
-        let priority = Priority::ALL[class];
-        let mut q = AdmissionQueue::new(burst);
-        for id in 0..burst as u64 {
-            prop_assert!(q.push(req(id, priority)).is_none());
-        }
-        let order: Vec<u64> = core::iter::from_fn(|| q.pop()).map(|r| r.id).collect();
-        prop_assert_eq!(order, (0..burst as u64).collect::<Vec<_>>());
+        let priorities = vec![Priority::ALL[class]; burst];
+        prop_assert_eq!(admit(&priorities, burst), (0, (0..burst).collect::<Vec<_>>()));
     }
 
     #[test]
@@ -178,19 +143,8 @@ proptest! {
         // Same-class pushes past capacity shed the oldest ids in order:
         // ids 0..overflow are the victims, the newest `capacity` survive.
         let total = capacity + overflow;
-        let mut q = AdmissionQueue::new(capacity);
-        let mut victims = Vec::new();
-        for id in 0..total as u64 {
-            if let Some(v) = q.push(req(id, Priority::Standard)) {
-                victims.push(v.id);
-            }
-        }
-        prop_assert_eq!(&victims, &(0..overflow as u64).collect::<Vec<_>>());
-        prop_assert_eq!(q.shed_count(), overflow as u64);
-        let survivors: Vec<u64> = core::iter::from_fn(|| q.pop()).map(|r| r.id).collect();
-        prop_assert_eq!(
-            survivors,
-            (overflow as u64..total as u64).collect::<Vec<_>>()
-        );
+        let (shed, survivors) = admit(&vec![Priority::Standard; total], capacity);
+        prop_assert_eq!(shed, overflow);
+        prop_assert_eq!(survivors, (overflow..total).collect::<Vec<_>>());
     }
 }
