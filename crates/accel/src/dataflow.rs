@@ -256,19 +256,6 @@ pub fn layer_energy(config: AcceleratorConfig, table: &EnergyTable, layer: &Laye
     Joules::new(picojoules_of(config, table, glb_pj, &c) * 1e-12)
 }
 
-/// Energy for one inference of `layer` under an arbitrary mapping.
-#[must_use]
-pub fn layer_energy_mapped(
-    config: AcceleratorConfig,
-    table: &EnergyTable,
-    layer: &Layer,
-    mapping: Mapping,
-) -> Joules {
-    let c = count_accesses_mapped(config, layer, mapping);
-    let glb_pj = table.glb_access_pj(f64::from(config.total_buffer_kib()));
-    Joules::new(picojoules_of(config, table, glb_pj, &c) * 1e-12)
-}
-
 /// Energy of a set of access counts on a design, picojoules — the one
 /// formula every energy path (canonical, mapped, sweep, pruning floor)
 /// shares. `glb_pj` is the config's buffer access energy, hoisted out so

@@ -16,8 +16,8 @@
 //!
 //! Every number is a pure function of fixed seeds and model constants —
 //! no wall-clock — so the bytes are identical at any worker count; CI
-//! diffs `--jobs 1/2/8` outputs against each other and against the
-//! committed `results/bus.txt` snapshot.
+//! diffs `--jobs 1/2/4/8` outputs against the committed
+//! `results/bus.txt` snapshot.
 
 use sudc_bus::{BusConfig, Durability, Reliability, TopicId};
 use sudc_chaos::Campaign;

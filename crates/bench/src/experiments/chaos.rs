@@ -6,8 +6,8 @@
 //! insight; the closing lines answer the overprovisioning question
 //! directly — how many cold spares each campaign needs to hold the
 //! claim-#4 availability target. The full grid rides along as JSON;
-//! because the grid is one seeded order-preserving batch, the bytes are
-//! identical at any worker count — CI diffs two thread counts.
+//! because every grid job is seeded and results merge in job order, the
+//! bytes are identical at any worker count — CI diffs four thread counts.
 
 use sudc_chaos::{Campaign, ChaosSummary, CLAIM4_AVAILABILITY_TARGET};
 use sudc_par::json::ToJson;

@@ -16,10 +16,10 @@
 //! aggregation.
 //!
 //! Every number is a pure function of the seeds and model constants, so
-//! the bytes are identical at any worker count; CI diffs `--jobs 1/2/8`
-//! outputs against each other and the committed `results/health.txt`
-//! snapshot, and separately checks that disabling the controller leaves
-//! every other snapshot untouched.
+//! the bytes are identical at any worker count; CI diffs `--jobs 1/2/4/8`
+//! outputs against the committed `results/health.txt` snapshot, and the
+//! same runs check that disabling the controller leaves every other
+//! snapshot untouched.
 
 use sudc_chaos::{Campaign, HealthReport};
 use sudc_health::{HealthConfig, PoolTimeline};

@@ -14,8 +14,8 @@
 //!
 //! Every number is a pure function of the stream seed and the model
 //! constants — no wall-clock — so the bytes are identical at any worker
-//! count; CI diffs `--jobs 1/2/8` outputs against each other and against
-//! the committed `results/router.txt` snapshot.
+//! count; CI diffs `--jobs 1/2/4/8` outputs against the committed
+//! `results/router.txt` snapshot.
 
 use sudc_compute::workloads::suite;
 use sudc_core::dynamics::DynamicScenario;

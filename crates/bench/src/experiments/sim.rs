@@ -6,7 +6,7 @@
 //! mission availability run checked against the analytic hot-pool bound.
 //! The report embeds the full JSON summaries; because every replication is
 //! seeded and order-preserving, the bytes are identical at any worker
-//! count — CI diffs two thread counts against each other.
+//! count — CI diffs four thread counts against the committed snapshot.
 
 use sudc_par::json::ToJson;
 use sudc_reliability::availability::NodePool;

@@ -52,12 +52,6 @@ impl Reliability {
             Reliability::Reliable { max_retries } => max_retries,
         }
     }
-
-    /// Whether a failed delivery may be retried.
-    #[must_use]
-    pub fn is_reliable(self) -> bool {
-        matches!(self, Reliability::Reliable { .. })
-    }
 }
 
 /// Sample-availability policy: whether undelivered samples wait for a

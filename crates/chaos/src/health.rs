@@ -11,8 +11,8 @@
 //! random numbers, so the availability and freshness-SLO gap between the
 //! two arms is exactly the value of closing the loop, and the detection
 //! latency / false-suspicion columns price what the detector itself
-//! costs. Like the resilience grid, the whole report is one flat
-//! `sudc_par::par_map` batch and byte-identical at any thread count.
+//! costs. The whole report is one flat `sudc_par::par_map` batch and
+//! byte-identical at any thread count.
 
 use sudc_core::dynamics::DynamicScenario;
 use sudc_core::Scenario;

@@ -4,11 +4,18 @@
 //! same traffic, same seeds — under a different fault campaign and cold-
 //! spare count. Replication `r` uses one seed across *every* cell (common
 //! random numbers), so a cell-to-cell difference is the effect of the
-//! campaign or the spares, never sampling noise from different draws. The
-//! grid is flattened into a single `sudc_par::par_map` batch: cells and
-//! replications interleave freely across worker threads, and because each
-//! job is a pure function of `(campaign, spares, rep, base_seed)` the
-//! aggregated [`ChaosSummary`] is byte-identical at any thread count.
+//! campaign or the spares, never sampling noise from different draws.
+//!
+//! Each distinct history is simulated once. A cold spare draws nothing
+//! and schedules nothing until it is popped, so a run that never popped
+//! more than `S` spares is also the `S`-spare run. One job per
+//! `(campaign, rep)` walks the spare ladder from the largest count down,
+//! reruns the kernel only for a rung whose pool the last run would have
+//! drained, and hands the other rungs the last run's trace by index. The
+//! jobs form one `sudc_par::par_map` batch whose results come back in
+//! input order, and each job is a pure function of
+//! `(campaign, spare counts, rep, base_seed)`, so the aggregated
+//! [`ChaosSummary`] is byte-identical at any thread count.
 
 use sudc_core::dynamics::DynamicScenario;
 use sudc_core::tco::TcoLine;
@@ -164,11 +171,7 @@ impl ChaosSummary {
         let mut configs: Vec<SimConfig> = Vec::with_capacity(campaigns.len() * spare_counts.len());
         for campaign in campaigns {
             for &spares in spare_counts {
-                let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)?
-                    .with_cold_spares(spares, DORMANT_AGING);
-                let cfg = campaign.apply(&SimConfig::try_from_dynamic(&scenario, 0.1, duration)?);
-                cfg.try_validate()?;
-                configs.push(cfg);
+                configs.push(cell_config(campaign, spares, duration)?);
             }
         }
 
@@ -177,29 +180,39 @@ impl ChaosSummary {
             .map(|rep| Rng64::stream(base_seed, rep).next_u64())
             .collect();
 
-        // One flat batch over (cell, rep): a slow cell never serializes
-        // the grid behind a barrier, and `par_map` preserves input order
-        // so aggregation below is thread-count independent.
-        let jobs: Vec<(usize, usize)> = (0..configs.len())
-            .flat_map(|cell| (0..reps as usize).map(move |rep| (cell, rep)))
+        // One job per (campaign, rep) walks that campaign's spare ladder
+        // (see `run_ladder`). Jobs are replication-major: `par_map` hands
+        // each worker one contiguous run of jobs, so the campaign whose
+        // ladder re-runs most (infant mortality) is spread over the
+        // workers instead of landing on one. `par_map` preserves input
+        // order, so the aggregation below is thread-count independent.
+        let rungs = spare_counts.len();
+        let jobs: Vec<(usize, usize)> = (0..reps as usize)
+            .flat_map(|rep| (0..campaigns.len()).map(move |campaign| (campaign, rep)))
             .collect();
-        let traces = sudc_par::par_map(&jobs, |_, &(cell, rep)| {
-            sudc_sim::run(&configs[cell], rep_seeds[rep])
+        let ladders = sudc_par::par_map(&jobs, |_, &(campaign, rep)| {
+            let configs = &configs[campaign * rungs..(campaign + 1) * rungs];
+            run_ladder(configs, rep_seeds[rep])
         });
 
         let (per_spare_usd, tco_total_usd, lifetime_hours) = spare_pricing()?;
         let mut cells = Vec::with_capacity(configs.len());
-        for (cell_idx, chunk) in traces.chunks(reps as usize).enumerate() {
-            let campaign = campaigns[cell_idx / spare_counts.len()].name;
-            let spares = spare_counts[cell_idx % spare_counts.len()];
-            let adjusted_tco = tco_total_usd + per_spare_usd * f64::from(spares);
-            cells.push(aggregate(
-                campaign,
-                spares,
-                chunk,
-                adjusted_tco,
-                lifetime_hours,
-            ));
+        for (c, campaign) in campaigns.iter().enumerate() {
+            for (rung, &spares) in spare_counts.iter().enumerate() {
+                let traces: Vec<&RunTrace> = ladders[c..]
+                    .iter()
+                    .step_by(campaigns.len())
+                    .map(|l| &l.traces[l.rung_trace[rung]])
+                    .collect();
+                let adjusted_tco = tco_total_usd + per_spare_usd * f64::from(spares);
+                cells.push(aggregate(
+                    campaign.name,
+                    spares,
+                    &traces,
+                    adjusted_tco,
+                    lifetime_hours,
+                ));
+            }
         }
 
         Ok(Self {
@@ -285,20 +298,72 @@ fn spare_pricing() -> Result<(f64, f64, f64), SudcError> {
     Ok((per_node, tco.total().value(), lifetime_hours))
 }
 
+/// The validated configuration of one grid cell: the reference operations
+/// scenario with `spares` cold spares, faulted by `campaign`.
+fn cell_config(
+    campaign: &Campaign,
+    spares: u32,
+    duration: Seconds,
+) -> Result<SimConfig, SudcError> {
+    let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)?
+        .with_cold_spares(spares, DORMANT_AGING);
+    let cfg = campaign.apply(&SimConfig::try_from_dynamic(&scenario, 0.1, duration)?);
+    cfg.try_validate()?;
+    Ok(cfg)
+}
+
+/// One (campaign, rep) run down the spare ladder: the distinct traces it
+/// simulated, and for each rung the index of the trace that rung shares.
+struct Ladder {
+    traces: Vec<RunTrace>,
+    rung_trace: Vec<usize>,
+}
+
+/// Runs one campaign's spare ladder (`configs`, one per rung) at one
+/// seed, visiting the rungs from the most installed nodes down.
+///
+/// Every fault is drawn from an entity-indexed stream and a cold spare
+/// pushes no event and draws nothing until it is popped from the pool, so
+/// a run with `S'` spares that popped (promoted or found dead) at most
+/// `S < S'` of them is the `S`-spare run, trace for trace. The last
+/// simulated trace is therefore reused while its pops fit the next rung's
+/// pool, and the kernel runs only when they do not. Reuse also requires
+/// the two configurations to differ in `nodes` alone.
+fn run_ladder(configs: &[SimConfig], seed: u64) -> Ladder {
+    let mut order: Vec<usize> = (0..configs.len()).collect();
+    order.sort_by_key(|&rung| std::cmp::Reverse(configs[rung].nodes));
+    let mut traces: Vec<RunTrace> = Vec::new();
+    let mut rung_trace = vec![0; configs.len()];
+    let mut last: Option<&SimConfig> = None;
+    for rung in order {
+        let cfg = &configs[rung];
+        let shared = last.zip(traces.last()).is_some_and(|(prev, trace)| {
+            SimConfig { nodes: 0, ..*prev } == SimConfig { nodes: 0, ..*cfg }
+                && trace.promotions + trace.dormant_deaths <= u64::from(cfg.nodes - cfg.required)
+        });
+        if !shared {
+            traces.push(sudc_sim::run(cfg, seed));
+            last = Some(cfg);
+        }
+        rung_trace[rung] = traces.len() - 1;
+    }
+    Ladder { traces, rung_trace }
+}
+
 /// Aggregates one cell's replications.
 fn aggregate(
     campaign: &'static str,
     spares: u32,
-    traces: &[RunTrace],
+    traces: &[&RunTrace],
     adjusted_tco_usd: f64,
     lifetime_hours: f64,
 ) -> ChaosCell {
     let n = traces.len() as f64;
-    let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(f).sum::<f64>() / n;
-    let total = |f: &dyn Fn(&RunTrace) -> u64| traces.iter().map(f).sum::<u64>();
+    let mean = |f: &dyn Fn(&RunTrace) -> f64| traces.iter().map(|t| f(t)).sum::<f64>() / n;
+    let total = |f: &dyn Fn(&RunTrace) -> u64| traces.iter().map(|t| f(t)).sum::<u64>();
     let (p99_sum, p99_reps) = traces
         .iter()
-        .map(RunTrace::delivery_latency)
+        .map(|t| t.delivery_latency())
         .filter(|s| s.count > 0)
         .fold((0.0, 0u32), |(sum, n), s| (sum + s.p99, n + 1));
     let delivered_per_hour = mean(&RunTrace::delivered_per_hour);
@@ -432,6 +497,41 @@ mod tests {
         // Spares are priced: at *equal* delivery the spared cell would
         // cost more per insight, so if it costs less it must deliver more.
         assert!(spared.tco_per_insight_usd.is_finite());
+    }
+
+    #[test]
+    fn shared_ladder_traces_equal_a_direct_run_per_cell() {
+        // Infant mortality and a one-MTTF independent process drain small
+        // pools, so some rungs re-run while others share a larger run's
+        // trace, including runs whose promoted spares fail again before
+        // the end. Either way every rung must hold exactly the trace a
+        // direct run of its own cell produces.
+        let duration = Seconds::new(1800.0);
+        let spare_counts = [0, 2, 4, 8, 16, 32];
+        let mut hot = Campaign::independent(duration);
+        hot.node_mttf = Some(duration);
+        let (mut shared, mut rerun) = (0, 0);
+        for campaign in [Campaign::infant_mortality(duration), hot] {
+            let configs: Vec<SimConfig> = spare_counts
+                .iter()
+                .map(|&s| cell_config(&campaign, s, duration).unwrap())
+                .collect();
+            for seed in 0..6 {
+                let l = run_ladder(&configs, seed);
+                rerun += l.traces.len() - 1;
+                shared += spare_counts.len() - l.traces.len();
+                for (rung, cfg) in configs.iter().enumerate() {
+                    assert!(
+                        l.traces[l.rung_trace[rung]] == sudc_sim::run(cfg, seed),
+                        "{} seed {seed}: {} spares",
+                        campaign.name,
+                        spare_counts[rung]
+                    );
+                }
+            }
+        }
+        assert!(shared > 0, "no rung shared a trace");
+        assert!(rerun > 0, "no rung re-ran the kernel");
     }
 
     #[test]

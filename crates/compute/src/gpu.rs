@@ -7,12 +7,9 @@
 //! standard analytic model: per-image energy falls with batch size as fixed
 //! launch/idle overheads amortize, approaching an asymptote.
 
-use sudc_units::{Joules, Seconds, Watts};
+use sudc_units::{Joules, Seconds};
 
 use crate::workloads::Workload;
-
-/// GPU idle (non-compute) power floor while a job is resident, W.
-const IDLE_POWER_W: f64 = 19.0;
 
 /// An analytic per-application GPU energy model fitted to a Table III row.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,12 +79,6 @@ impl GpuEnergyModel {
     #[must_use]
     pub fn streaming_penalty(&self) -> f64 {
         self.energy_per_image(1) / self.energy_per_image(1 << 12)
-    }
-
-    /// GPU power floor when idle between batches.
-    #[must_use]
-    pub fn idle_power() -> Watts {
-        Watts::new(IDLE_POWER_W)
     }
 }
 

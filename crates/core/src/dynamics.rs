@@ -165,40 +165,6 @@ impl DynamicScenario {
         self
     }
 
-    /// Overrides the powered-node mean time to failure — chaos campaigns
-    /// use accelerated aging so failure dynamics are observable inside an
-    /// operations-scale run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mttf` is not positive (infinite disables failures).
-    #[must_use]
-    pub fn with_node_mttf(mut self, mttf: Seconds) -> Self {
-        assert!(
-            mttf.value() > 0.0 && !mttf.value().is_nan(),
-            "node MTTF must be positive, got {}",
-            mttf.value()
-        );
-        self.node_mttf = mttf;
-        self
-    }
-
-    /// Overrides the Weibull shape of node lifetimes (1 = exponential,
-    /// < 1 = infant mortality, > 1 = wear-out).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is not positive and finite.
-    #[must_use]
-    pub fn with_weibull_shape(mut self, shape: f64) -> Self {
-        assert!(
-            shape.is_finite() && shape > 0.0,
-            "Weibull shape must be positive and finite, got {shape}"
-        );
-        self.weibull_shape = shape;
-        self
-    }
-
     /// Aggregate image rate reaching the SµDC after filtering, images/s.
     #[must_use]
     pub fn arrival_rate(&self) -> f64 {

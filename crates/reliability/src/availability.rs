@@ -118,17 +118,6 @@ impl NodePool {
         binomial_tail_at_least(self.nodes, self.required, p)
     }
 
-    /// Fallible form of [`NodePool::availability`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured error if `t_over_mttf` is negative or
-    /// non-finite.
-    pub fn try_availability(self, t_over_mttf: f64) -> Result<f64, SudcError> {
-        let p = Self::try_node_survival(t_over_mttf)?;
-        Ok(binomial_tail_at_least(self.nodes, self.required, p))
-    }
-
     /// Expected usable capacity `E[min(required, alive)]` (Fig. 25).
     #[must_use]
     pub fn expected_capacity(self, t_over_mttf: f64) -> f64 {

@@ -98,19 +98,6 @@ impl WeibullLifetime {
         binomial_tail_at_least(nodes, required, self.survival(t))
     }
 
-    /// Fallible form of [`WeibullLifetime::availability`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured error if `t` is negative or non-finite.
-    pub fn try_availability(&self, nodes: u32, required: u32, t: f64) -> Result<f64, SudcError> {
-        Ok(binomial_tail_at_least(
-            nodes,
-            required,
-            self.try_survival(t)?,
-        ))
-    }
-
     /// Expected usable capacity `E[min(required, alive)]` at `t`.
     #[must_use]
     pub fn expected_capacity(&self, nodes: u32, required: u32, t: f64) -> f64 {

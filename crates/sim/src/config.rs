@@ -184,7 +184,9 @@ impl SimConfig {
     /// A mission-scale failure study: `nodes` installed of which
     /// `required` must be powered, cold spares aging at `dormant_aging`,
     /// run for `duration_mttf` lifetimes. The image pipeline is off; ticks
-    /// are scaled so one MTTF is 100 000 ticks.
+    /// are scaled so one MTTF is 100 000 ticks. The ground link is always
+    /// in contact through one window that spans the whole mission, so the
+    /// kernel schedules no per-tick contact wake-ups.
     ///
     /// # Panics
     ///
@@ -255,8 +257,8 @@ impl SimConfig {
             mttf_ticks,
             weibull_shape: 1.0,
             dormant_aging,
-            contact_gap_ticks: 1,
-            contact_window_ticks: 1,
+            contact_gap_ticks: duration_ticks,
+            contact_window_ticks: duration_ticks,
             downlink_transfer_ticks: 0.0,
             faults: None,
             health: None,

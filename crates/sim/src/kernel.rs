@@ -1262,6 +1262,19 @@ mod tests {
     }
 
     #[test]
+    fn cold_spare_missions_schedule_no_per_tick_wake_ups() {
+        // One contact window spans the mission, so a one-MTTF run handles
+        // only its failures, promotions and samples. A per-tick contact
+        // window would cost one event per tick (100 000 here).
+        let cfg = SimConfig::cold_spare_mission(20, 10, 0.1, 1.0);
+        for seed in [1, 11, 29] {
+            let t = run(&cfg, seed);
+            assert!(t.failures > 0, "one MTTF of exponential nodes must fail");
+            assert!(t.events < 1_000, "seed {seed}: {} events", t.events);
+        }
+    }
+
+    #[test]
     fn monotonic_shedding_matches_the_retain_scan() {
         // Exercise the freshness deadline on the pop-from-front fast path
         // (no retries in play): a glacial service rate backs the batch

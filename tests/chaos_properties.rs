@@ -27,6 +27,20 @@ fn cases() -> u32 {
         .unwrap_or(32)
 }
 
+/// The resilience grid's configuration of one cell: the reference
+/// operations scenario with `spares` cold spares, faulted by `campaign`.
+fn grid_config(campaign: &Campaign, duration: Seconds, spares: u32) -> SimConfig {
+    let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)
+        .expect("reference scenario must size")
+        .with_cold_spares(spares, 0.1);
+    let cfg = campaign.apply(
+        &SimConfig::try_from_dynamic(&scenario, 0.1, duration)
+            .expect("reference scenario must quantize"),
+    );
+    cfg.try_validate().expect("campaign must apply cleanly");
+    cfg
+}
+
 /// One faulted run of the reference operations scenario with `spares`
 /// cold spares. Upsets stay off: corrupted-image retries are the one
 /// fault process whose *count* depends on processing order, so they are
@@ -34,16 +48,10 @@ fn cases() -> u32 {
 /// `batch_target` is pinned to 1 so delivered work tracks capability
 /// directly instead of batch-formation timing.
 fn faulted_run(campaign: &Campaign, duration: Seconds, spares: u32, seed: u64) -> RunTrace {
-    let scenario = DynamicScenario::from_scenario(Scenario::Reference, 64)
-        .expect("reference scenario must size")
-        .with_cold_spares(spares, 0.1);
-    let mut cfg = SimConfig::try_from_dynamic(&scenario, 0.1, duration)
-        .expect("reference scenario must quantize");
-    cfg.batch_target = 1;
     let mut campaign = *campaign;
     campaign.upset_probability = 0.0;
-    let cfg = campaign.apply(&cfg);
-    cfg.try_validate().expect("campaign must apply cleanly");
+    let mut cfg = grid_config(&campaign, duration, spares);
+    cfg.batch_target = 1;
     space_udc::sim::run(&cfg, seed)
 }
 
@@ -110,6 +118,40 @@ proptest! {
             lean.delivered_fraction(),
             fat.delivered_fraction(),
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The spare-ladder sharing the resilience grid relies on: a cold
+    /// spare draws nothing and schedules nothing until it is popped, so a
+    /// run that popped (promoted or found dead) at most `spares` of its
+    /// `spares + extra` spares is the `spares` run, trace for trace.
+    #[test]
+    fn a_run_that_never_drains_the_smaller_pool_is_the_smaller_run(
+        which in 0usize..8, spares in 0u32..12, extra in 1u32..6, seed in 0u64..1_000_000,
+    ) {
+        let duration = Seconds::new(1200.0);
+        let mut hot = Campaign::independent(duration);
+        hot.node_mttf = Some(duration);
+        let mut campaigns = Campaign::suite(duration);
+        campaigns.push(violent_storms(duration));
+        campaigns.push(hot);
+        let campaign = &campaigns[which];
+        let run = |spares| space_udc::sim::run(&grid_config(campaign, duration, spares), seed);
+        let fat = run(spares + extra);
+        if fat.promotions + fat.dormant_deaths <= u64::from(spares) {
+            let lean = run(spares);
+            prop_assert!(
+                fat == lean,
+                "{}: the {}-spare run popped {} spares but differs from the {}-spare run",
+                campaign.name,
+                spares + extra,
+                fat.promotions + fat.dormant_deaths,
+                spares,
+            );
+        }
     }
 }
 
